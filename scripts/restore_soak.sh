@@ -27,7 +27,7 @@ cd "$WORK"
 STREAM=stream.evt
 
 echo "== phase 1: live reactor run (5% drop), record event stream =="
-timeout 120 "$SIM" --live --live-backend reactor \
+timeout 120 "$SIM" --live \
   --topology dary:2:3 --workload pulse:rounds=12 --seed 7 \
   --chaos drop=0.05 --dump-stream "$STREAM" --json > live.json
 grep -q '"oracle": "PASS"' live.json

@@ -1,10 +1,8 @@
 #include "detect/centralized.hpp"
 
-#include <span>
 #include <utility>
 
 #include "common/assert.hpp"
-#include "detect/par_aggregate.hpp"
 
 namespace hpd::detect {
 
@@ -76,13 +74,7 @@ void CentralSink::handle_solutions(const std::vector<Solution>& sols) {
     rec.index = ++occurrence_count_;
     rec.time = now();
     rec.global = true;
-    const std::span<const Interval> members(sol.members);
-    const std::size_t n =
-        members.empty() ? 0 : members.front().lo.size();
-    rec.aggregate =
-        aggregate_should_parallelize(members.size(), n, pool_)
-            ? aggregate_parallel(members, self_, next_seq_++, *pool_)
-            : aggregate(members, self_, next_seq_++);
+    rec.aggregate = aggregate(sol.members, self_, next_seq_++);
     rec.latest_member_completion = rec.aggregate.completed_at;
     rec.solution = sol.members;
     if (hooks_.on_occurrence) {

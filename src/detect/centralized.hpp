@@ -18,10 +18,6 @@
 #include "detect/reorder.hpp"
 #include "interval/interval.hpp"
 
-namespace hpd::parallel {
-class ThreadPool;
-}  // namespace hpd::parallel
-
 namespace hpd::detect {
 
 class CentralSink {
@@ -55,13 +51,6 @@ class CentralSink {
   const ReorderBuffer& reorder() const { return reorder_; }
   SeqNum occurrences() const { return occurrence_count_; }
 
-  /// Optional worker pool (not owned, may be null) for solution-batch
-  /// aggregation: batches whose interval-count x clock-width work clears
-  /// kParallelAggregateMinWork run through aggregate_parallel(), which is
-  /// bit-identical to the serial path (see detect/par_aggregate.hpp) — so
-  /// attaching a pool never changes the occurrence stream, only its cost.
-  void set_thread_pool(parallel::ThreadPool* pool) { pool_ = pool; }
-
   // ---- Checkpoint surface (durability) ------------------------------------
 
   /// Deep image of the sink: the queue engine, the per-origin reorder
@@ -91,7 +80,6 @@ class CentralSink {
   ReorderBuffer reorder_;
   SeqNum next_seq_ = 1;
   SeqNum occurrence_count_ = 0;
-  parallel::ThreadPool* pool_ = nullptr;  ///< optional, not owned
 };
 
 }  // namespace hpd::detect

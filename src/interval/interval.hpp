@@ -22,7 +22,7 @@ namespace hpd {
 /// Test-only provenance: which base intervals an aggregate represents.
 /// Shared immutable DAG. Not counted as wire words; the codec serializes
 /// it (flattened to the base set) only when attached, so differential
-/// oracles can follow solutions across a real socket (rt::LiveTransport).
+/// oracles can follow solutions across a real socket (rt::ReactorTransport).
 struct Provenance {
   ProcessId origin = kNoProcess;  ///< process of the base interval
   SeqNum seq = 0;                 ///< per-origin interval number

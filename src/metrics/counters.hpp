@@ -7,9 +7,9 @@
 // common/thread_annotations.hpp / docs/STATIC_ANALYSIS.md): a
 // MetricsRegistry is single-owner state, never shared between live
 // threads, so its fields carry no HPD_GUARDED_BY annotations on purpose.
-// Each sim run and each live node-loop thread writes its own private
-// registry; merge_from() folds them together only after the writing
-// threads have been joined (see rt/live_runner.cpp), which is the
+// Each sim run and each live node writes its own private registry (from
+// its reactor worker); merge_from() folds them together only after the
+// writing threads have been joined (see rt/live_runner.cpp), which is the
 // happens-before edge that makes the unsynchronized reads safe.
 #pragma once
 
@@ -23,7 +23,7 @@
 namespace hpd {
 
 /// Session-layer accounting for the live transport's reliable-delivery
-/// layer (rt/live_transport). Sim runs leave this zero: the simulated
+/// layer (rt/session). Sim runs leave this zero: the simulated
 /// network delivers exactly what the strategy plans, so there is no
 /// retransmission machinery to count. The no-silent-loss invariant the
 /// chaos suite checks is `msgs_delivered + surfaced_losses >= reliable_sent`
@@ -44,10 +44,10 @@ struct TransportCounters {
   void add(const TransportCounters& other);
 };
 
-/// Event-loop accounting for the reactor live backend (rt/reactor): one
-/// record per worker thread, merged after the workers are joined. Zero for
-/// sim runs and for the thread-per-node backend. `ready_events / wakeups`
-/// is the multiplexing ratio the reactor exists to raise.
+/// Event-loop accounting for the live runtime (rt/reactor): one record per
+/// worker thread, merged after the workers are joined. Zero for sim runs.
+/// `ready_events / wakeups` is the multiplexing ratio the reactor exists to
+/// raise.
 struct ReactorCounters {
   std::uint64_t workers = 0;           ///< worker threads contributing
   std::uint64_t wakeups = 0;           ///< epoll_wait returns
@@ -104,8 +104,8 @@ class MetricsRegistry {
                std::size_t wire_bytes = 0);
 
   /// Fold another registry into this one (counters add, per-node metrics add
-  /// index-wise, names union). The live runtime gives every node thread a
-  /// private registry and merges them once the threads have been joined —
+  /// index-wise, names union). The live runtime gives every node a
+  /// private registry and merges them once the workers have been joined —
   /// calling this while `other`'s owning thread still runs is a data race.
   void merge_from(const MetricsRegistry& other);
 
@@ -132,12 +132,12 @@ class MetricsRegistry {
   }
 
   /// Live-transport session-layer counters (zero for sim runs). Written by
-  /// the owning node's loop thread, like every other field here.
+  /// the owning node's reactor worker, like every other field here.
   TransportCounters& transport() { return transport_; }
   const TransportCounters& transport() const { return transport_; }
 
-  /// Reactor-backend event-loop counters (zero for sim / thread-backend
-  /// runs). Same ownership rule: merged only after the workers stopped.
+  /// Reactor event-loop counters (zero for sim runs). Same ownership rule:
+  /// merged only after the workers stopped.
   ReactorCounters& reactor() { return reactor_; }
   const ReactorCounters& reactor() const { return reactor_; }
 

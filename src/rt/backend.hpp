@@ -1,42 +1,21 @@
-// The live-backend abstraction: one configuration (LiveConfig) and one
-// driver-facing interface (LiveBackend) with two implementations —
-//
-//   * LiveBackendKind::kThreads — rt/live_transport: one OS thread per node
-//     over blocking poll() loops. Simple, proven, caps at ~dozens of nodes.
-//   * LiveBackendKind::kReactor — rt/reactor: a small pool of worker
-//     threads, each running an epoll loop multiplexing hundreds of
-//     nonblocking node state machines. Scales live experiments to
-//     thousands of nodes.
-//
-// Both host the same protocol stack (rt/session + rt/conn behind the
-// transport::Endpoint / transport::Node surface), so the choice is purely
-// an execution-engine switch: rt::run_live_experiment and the conformance
-// suite run against this interface and must not care which one is under it.
+// Configuration of the live runtime (rt::ReactorTransport, the epoll
+// reactor in rt/reactor) and the measured-fault record it reports back.
+// The reactor hosts the same protocol stack as the simulator (rt/session +
+// rt/conn behind the transport::Endpoint / transport::Node surface), so
+// rt::run_live_experiment feeds its runs to the same offline oracles.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-#include <functional>
-#include <memory>
+#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
-#include "metrics/counters.hpp"
 #include "rt/chaos.hpp"
 #include "rt/socket.hpp"
-#include "transport/endpoint.hpp"
-#include "transport/node.hpp"
 
 namespace hpd::rt {
 
-enum class LiveBackendKind {
-  kThreads,  ///< one loop thread per node (rt/live_transport)
-  kReactor,  ///< epoll worker pool, nodes sharded by id (rt/reactor)
-};
-
 struct LiveConfig {
-  LiveBackendKind backend = LiveBackendKind::kThreads;
   /// Reactor worker threads; 0 = auto (min(hardware_concurrency, 8),
   /// never more than the node count).
   int reactor_workers = 0;
@@ -47,11 +26,6 @@ struct LiveConfig {
   double time_scale = 0.02;
   /// Bytes read per connection per loop wake (inbound flow-control gate).
   std::size_t read_chunk = std::size_t{64} * 1024;
-  /// Blocking connect (thread backend only): attempts and doubling backoff
-  /// between them. The reactor dials nonblocking and relies on the
-  /// cooldown + retransmit path instead.
-  int connect_retries = 5;
-  std::chrono::milliseconds connect_backoff{1};
   /// After a failed connect / broken pipe, skip re-dialing the peer for this
   /// long. Queued DATA is retransmitted once the cooldown lapses; the
   /// cooldown is expired early when the peer is observed alive again
@@ -83,8 +57,8 @@ struct LiveConfig {
   /// table to a ckpt::CheckpointStore in this directory (after every
   /// revive and at shutdown) and adopts the persisted epochs before
   /// start() — epoch continuity across a real restart of the driving
-  /// process. All checkpoint I/O stays on the driver thread; node loops
-  /// and reactor workers never block on it.
+  /// process. All checkpoint I/O stays on the driver thread; reactor
+  /// workers never block on it.
   std::string ckpt_dir;
 };
 
@@ -93,83 +67,5 @@ struct LifeEvent {
   ProcessId node = kNoProcess;
   SimTime time = 0.0;
 };
-
-/// Driver-facing surface of a live backend. Threading contract (identical
-/// for both implementations): node `i`'s callbacks run on exactly one
-/// thread at a time and all Endpoint calls for `i` come from `i`'s own
-/// callback context; crash()/revive()/post()/run_on_node_sync() are
-/// driver-thread entry points and must never be called from a node
-/// callback. Diagnostics are stable only once stop() returned.
-class LiveBackend {
- public:
-  virtual ~LiveBackend() = default;
-
-  virtual std::size_t size() const = 0;
-
-  /// Restrict which ordered pairs may exchange one-hop messages (mirrors
-  /// sim::Network's link filter). Must be set before start().
-  virtual void set_link_filter(
-      std::function<bool(ProcessId, ProcessId)> link_ok) = 0;
-
-  /// Attach the protocol node for `id`. `metrics` (nullable) receives
-  /// on_send accounting — give each node its own registry; the owning
-  /// thread writes to it. `on_revive` runs on the node's (fresh) execution
-  /// context after revive().
-  virtual void register_node(ProcessId id, transport::Node& node,
-                             MetricsRegistry* metrics = nullptr,
-                             std::function<void()> on_revive = nullptr) = 0;
-
-  /// The Endpoint to hand to node `id`'s protocol stack. Valid from
-  /// construction (before start()).
-  virtual transport::Endpoint& endpoint(ProcessId id) = 0;
-
-  virtual void start() = 0;
-  virtual void stop() = 0;
-  virtual void crash(ProcessId id) = 0;
-  virtual void revive(ProcessId id) = 0;
-
-  virtual bool alive(ProcessId id) const = 0;
-  virtual std::size_t alive_count() const = 0;
-
-  // ---- Session-epoch continuity (durability) -------------------------------
-  /// Current session incarnation of node `id`. Driver-thread only. Safe
-  /// even while the node runs: the epoch is only ever written driver-side
-  /// while the node is provably stopped (revive / adopt), so the read
-  /// races nothing.
-  virtual std::uint64_t session_epoch(ProcessId id) const = 0;
-  /// Epoch continuity across a real process restart: forward `id`'s
-  /// session epoch to at least `epoch` (NodeSession::adopt_epoch — epochs
-  /// only move forward). Must be called before start() or while `id` is
-  /// crashed.
-  virtual void adopt_session_epoch(ProcessId id, std::uint64_t epoch) = 0;
-
-  /// Scaled wall clock, SimTime units since start(). Any thread.
-  virtual SimTime now() const = 0;
-  /// Block the calling (driver) thread until now() >= t.
-  virtual void sleep_until(SimTime t) const = 0;
-
-  virtual bool post(ProcessId id, std::function<void()> fn) = 0;
-  virtual bool run_on_node_sync(ProcessId id, std::function<void()> fn) = 0;
-
-  /// Measured fault timeline (SimTime), for the offline oracle.
-  virtual std::vector<LifeEvent> crash_events() const = 0;
-  virtual std::vector<LifeEvent> revive_events() const = 0;
-
-  // ---- Diagnostics: stable only once the relevant threads have stopped ----
-  virtual std::uint64_t delivered_messages() const = 0;
-  virtual std::uint64_t dropped_messages() const = 0;
-  virtual std::uint64_t frame_errors() const = 0;
-  virtual std::uint64_t connections_accepted() const = 0;
-  /// Session-layer counters, aggregated over all nodes.
-  virtual TransportCounters stats() const = 0;
-  /// All injected chaos events, merged across senders in canonical order.
-  virtual std::vector<ChaosEvent> chaos_events() const = 0;
-  /// Event-loop counters; all-zero for the thread backend.
-  virtual ReactorCounters reactor_stats() const { return {}; }
-};
-
-/// Construct the backend selected by cfg.backend.
-std::unique_ptr<LiveBackend> make_live_backend(std::size_t n,
-                                               LiveConfig cfg = {});
 
 }  // namespace hpd::rt

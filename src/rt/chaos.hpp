@@ -1,6 +1,6 @@
 // Deterministic fault injection for the live transport.
 //
-// The chaos layer sits at the frame boundary of rt::LiveTransport: just
+// The chaos layer sits at the frame boundary of rt::ReactorTransport: just
 // before a DATA frame is written to its outgoing connection, the sender
 // consults plan_frame() and may drop the frame, duplicate it, flip a byte
 // inside the CRC-protected region, hold it back for a while, or reset the

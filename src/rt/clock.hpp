@@ -1,7 +1,6 @@
-// Scaled wall clock shared by every live backend: one SimTime unit is
-// `scale` real seconds on std::chrono::steady_clock. Both the thread-per-node
-// backend (rt/live_transport) and the reactor backend (rt/reactor) measure
-// protocol time through this one translation so their chaos windows, timer
+// Scaled wall clock of the live runtime: one SimTime unit is `scale` real
+// seconds on std::chrono::steady_clock. The reactor (rt/reactor) measures
+// protocol time through this one translation so its chaos windows, timer
 // deadlines and recorded fault instants agree by construction.
 //
 // sleep_until() lives here (and not in the reactor sources) on purpose: it

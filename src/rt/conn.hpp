@@ -6,9 +6,8 @@
 // (read_once()). Corruption poisons the reader permanently — a framed
 // stream that lost sync has no recoverable boundary — so the only recovery
 // is dropping the connection and letting the sender's session layer
-// retransmit (kProtocolError). Both live backends (thread-per-node
-// rt/live_transport and the epoll reactor rt/reactor) host exactly this
-// object; the poisoning/teardown behavior is tested once, in conn_test.
+// retransmit (kProtocolError). The epoll reactor (rt/reactor) hosts one per
+// connection; the poisoning/teardown behavior is tested once, in conn_test.
 #pragma once
 
 #include <cstdint>

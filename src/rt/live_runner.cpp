@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "parallel/thread_pool.hpp"
 #include "proto/messages.hpp"
+#include "rt/reactor/reactor_transport.hpp"
 #include "runner/process_runtime.hpp"
 
 namespace hpd::rt {
@@ -25,7 +26,7 @@ struct PlannedEvent {
 
 /// sleep_until(t), waking periodically to honor a stop request. Returns
 /// true iff the stop flag cut the wait short.
-bool sleep_until_or_stop(const LiveBackend& net, SimTime t,
+bool sleep_until_or_stop(const ReactorTransport& net, SimTime t,
                          const std::atomic<bool>* stop) {
   if (stop == nullptr) {
     net.sleep_until(t);
@@ -65,7 +66,8 @@ LiveResult run_live_experiment(const runner::ExperimentConfig& config,
   LiveResult out;
   runner::ExperimentResult& result = out.result;
 
-  // Per-node-thread storage; merged after the threads stop.
+  // Per-node storage, written only by the node's worker; merged after the
+  // workers stop.
   std::vector<MetricsRegistry> metrics(n);
   std::vector<std::vector<detect::OccurrenceRecord>> occurrences(n);
   std::vector<std::uint64_t> global_counts(n, 0);
@@ -74,8 +76,7 @@ LiveResult run_live_experiment(const runner::ExperimentConfig& config,
     proto::register_message_names(m);
   }
 
-  std::unique_ptr<LiveBackend> backend = make_live_backend(n, live);
-  LiveBackend& net = *backend;
+  ReactorTransport net(n, live);
   net.set_link_filter([topo = &cfg.topology](ProcessId a, ProcessId b) {
     return topo->has_edge(a, b);
   });
@@ -104,9 +105,9 @@ LiveResult run_live_experiment(const runner::ExperimentConfig& config,
   }
 
   // ---- Durability: session-epoch continuity (LiveConfig::ckpt_dir) --------
-  // Driver-thread-only by design: the node loops / reactor workers must
-  // never block on checkpoint I/O (hpd_analyze's blocking-reachability
-  // check enforces exactly this layering).
+  // Driver-thread-only by design: the reactor workers must never block on
+  // checkpoint I/O (hpd_analyze's blocking-reachability check enforces
+  // exactly this layering).
   std::unique_ptr<ckpt::CheckpointStore> ckpt_store;
   if (!live.ckpt_dir.empty()) {
     ckpt_store = std::make_unique<ckpt::CheckpointStore>(live.ckpt_dir,

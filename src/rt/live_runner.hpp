@@ -1,5 +1,5 @@
 // Drive one experiment over the live transport: the same ExperimentConfig
-// the simulator consumes, executed by real node threads over sockets.
+// the simulator consumes, executed by the epoll reactor over real sockets.
 //
 // Differences from runner::run_experiment, by construction of the medium:
 //   * wire_encoding is forced on — bytes are the only thing a socket carries;
@@ -9,14 +9,17 @@
 //     the offline oracle must be fed) come back in actual_crashes /
 //     actual_recoveries;
 //   * metrics, occurrence records and global counts are collected per node
-//     (each node thread owns its storage) and merged after the threads stop.
+//     (each node's worker owns its storage) and merged after the workers
+//     stop.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <vector>
 
+#include "metrics/counters.hpp"
 #include "rt/backend.hpp"
+#include "rt/chaos.hpp"
 #include "runner/experiment.hpp"
 
 namespace hpd::rt {
@@ -28,7 +31,7 @@ struct LiveResult {
   /// the offline oracles are not expected to hold. The drain and the
   /// final checkpoint flush still happened.
   bool interrupted = false;
-  /// Measured fault instants in SimTime units (loop-thread timestamps).
+  /// Measured fault instants in SimTime units (worker-thread timestamps).
   std::vector<LifeEvent> actual_crashes;
   std::vector<LifeEvent> actual_recoveries;
   // Transport diagnostics.
@@ -43,14 +46,14 @@ struct LiveResult {
   TransportCounters transport;
   /// Injected chaos events in canonical order (empty without a ChaosConfig).
   std::vector<ChaosEvent> chaos_events;
-  /// Event-loop counters (all-zero under the thread backend); also mirrored
-  /// into result.metrics.reactor() for --json output.
+  /// Event-loop counters; also mirrored into result.metrics.reactor() for
+  /// --json output.
   ReactorCounters reactor;
 };
 
-/// Run the experiment over the live backend selected by live.backend
-/// (thread-per-node or epoll reactor). Blocks the calling thread for
-/// roughly (horizon + drain) * live.time_scale real seconds.
+/// Run the experiment over an rt::ReactorTransport configured by `live`.
+/// Blocks the calling thread for roughly (horizon + drain) *
+/// live.time_scale real seconds.
 ///
 /// `stop` (nullable) is a cooperative early-shutdown request, typically
 /// set from a signal handler via hpd_sim's self-pipe: once it reads true

@@ -357,22 +357,13 @@ void ReactorTransport::revive(ProcessId id) {
       continue;
     }
     RNode* oc = other.get();
-    post(other->id, [oc, rid, e] { oc->session.observe_peer(rid, e); });
+    post_op(worker_of(other->id), other->id,
+            [oc, rid, e] { oc->session.observe_peer(rid, e); });
   }
 }
 
 bool ReactorTransport::alive(ProcessId id) const {
   return node_of(id).alive.load(std::memory_order_acquire);
-}
-
-std::size_t ReactorTransport::alive_count() const {
-  std::size_t k = 0;
-  for (const auto& nd : nodes_) {
-    if (nd->alive.load(std::memory_order_acquire)) {
-      ++k;
-    }
-  }
-  return k;
 }
 
 // ---- Time -------------------------------------------------------------------
@@ -407,10 +398,6 @@ bool ReactorTransport::post_op(Worker& w, ProcessId node,
   }
   wake(w);
   return true;
-}
-
-bool ReactorTransport::post(ProcessId id, std::function<void()> fn) {
-  return post_op(worker_of(id), id, std::move(fn));
 }
 
 bool ReactorTransport::run_on_worker_sync(Worker& w, ProcessId node,

@@ -1,17 +1,16 @@
-// The epoll reactor live backend: a small pool of worker threads, each
-// running one epoll loop that multiplexes the I/O, timers and protocol
-// state machines of hundreds of nodes. This is what scales live detector
-// runs from dozens of nodes (one OS thread each, rt/live_transport) to
-// thousands: at 4096 nodes the thread backend needs 4096 stacks and the
-// scheduler thrashes; the reactor needs `reactor_workers` threads total.
+// The live runtime: a small pool of worker threads, each running one epoll
+// loop that multiplexes the I/O, timers and protocol state machines of
+// hundreds of nodes. A live run needs `reactor_workers` threads in total,
+// whatever the node count, so live detector runs scale to thousands of
+// nodes.
 //
 // Sharding: node `i` belongs to worker `i % W`, permanently. Everything a
 // node owns — sockets, session, timers — is touched only by its worker
 // thread, so the per-node single-threaded execution contract of
 // transport::Node holds by construction and no protocol code grows locks.
 //
-// Hosted state machines (identical to the thread backend, by design):
-//   * rt::Conn for frame I/O — here in edge-triggered mode: reads loop to
+// Hosted state machines:
+//   * rt::Conn for frame I/O — in edge-triggered mode: reads loop to
 //     EAGAIN, writes resume from the partial-write offset on the next
 //     writable edge. Outgoing dials are nonblocking (rt::connect_start);
 //     a pending connect resolves on its first writable edge.
@@ -20,10 +19,10 @@
 //     multiplexed onto one hierarchical TimerWheel per worker (one wheel
 //     entry per node: the min of all that node's deadlines).
 //
-// Control plane: crash()/revive()/post() enqueue closures on the owning
-// worker (woken through a pipe) and the driver blocks on a promise when it
-// needs completion — the same happens-before edges the thread backend gets
-// from joining node threads.
+// Control plane: crash()/revive()/run_on_node_sync() enqueue closures on
+// the owning worker (woken through a pipe) and the driver blocks on a
+// promise until the worker ran them, which gives the driver a
+// happens-before edge over everything the worker did for that node.
 //
 // Nothing in this directory may block: no sleeps, no blocking socket
 // calls, no poll/select (enforced by the `reactor-nonblocking` lint rule).
@@ -80,61 +79,87 @@ class ReactorEndpoint final : public transport::Endpoint {
   ProcessId self_ = kNoProcess;
 };
 
-class ReactorTransport final : public LiveBackend {
+/// Driver-facing surface of the live runtime. Threading contract: node
+/// `i`'s callbacks run on exactly one thread at a time (its worker) and all
+/// Endpoint calls for `i` come from `i`'s own callback context;
+/// crash()/revive()/run_on_node_sync() are driver-thread entry points and
+/// must never be called from a node callback.
+class ReactorTransport {
  public:
   explicit ReactorTransport(std::size_t n, LiveConfig cfg = {});
-  ~ReactorTransport() override;
+  ~ReactorTransport();
 
   ReactorTransport(const ReactorTransport&) = delete;
   ReactorTransport& operator=(const ReactorTransport&) = delete;
 
-  std::size_t size() const override { return nodes_.size(); }
-  int workers() const { return static_cast<int>(workers_.size()); }
+  /// Restrict which ordered pairs may exchange one-hop messages (mirrors
+  /// sim::Network's link filter). Must be set before start().
+  void set_link_filter(std::function<bool(ProcessId, ProcessId)> link_ok);
 
-  void set_link_filter(
-      std::function<bool(ProcessId, ProcessId)> link_ok) override;
+  /// Attach the protocol node for `id`. `metrics` (nullable) receives
+  /// on_send accounting — give each node its own registry; the owning
+  /// worker writes to it. `on_revive` runs on the node's worker after
+  /// revive().
   void register_node(ProcessId id, transport::Node& node,
                      MetricsRegistry* metrics = nullptr,
-                     std::function<void()> on_revive = nullptr) override;
-  transport::Endpoint& endpoint(ProcessId id) override;
+                     std::function<void()> on_revive = nullptr);
 
-  void start() override;
-  void stop() override;
+  /// The Endpoint to hand to node `id`'s protocol stack. Valid from
+  /// construction (before start()).
+  transport::Endpoint& endpoint(ProcessId id);
+
+  void start();
+  void stop();
 
   /// Crash-stop `id` on its worker: on_crash runs there, every socket and
   /// timer of the node is dropped, queued posts for it are abandoned.
   /// Blocks until the worker has executed the crash.
-  void crash(ProcessId id) override;
+  void crash(ProcessId id);
 
   /// Bring a crashed node back on its worker: re-bind the same address,
   /// bump the session epoch, run the registered on_revive callback, then
   /// tell every other node about the new incarnation. Blocks until the
   /// node is live again (the observe broadcast is asynchronous).
-  void revive(ProcessId id) override;
+  void revive(ProcessId id);
 
-  bool alive(ProcessId id) const override;
-  std::size_t alive_count() const override;
+  bool alive(ProcessId id) const;
 
-  std::uint64_t session_epoch(ProcessId id) const override;
-  void adopt_session_epoch(ProcessId id, std::uint64_t epoch) override;
+  // ---- Session-epoch continuity (durability) -------------------------------
+  /// Current session incarnation of node `id`. Driver-thread only. Safe
+  /// even while the node runs: the epoch is only ever written driver-side
+  /// while the node is provably stopped (revive / adopt), so the read
+  /// races nothing.
+  std::uint64_t session_epoch(ProcessId id) const;
+  /// Epoch continuity across a real process restart: forward `id`'s
+  /// session epoch to at least `epoch` (NodeSession::adopt_epoch — epochs
+  /// only move forward). Must be called before start() or while `id` is
+  /// crashed.
+  void adopt_session_epoch(ProcessId id, std::uint64_t epoch);
 
-  SimTime now() const override;
-  void sleep_until(SimTime t) const override;
+  /// Scaled wall clock, SimTime units since start(). Any thread.
+  SimTime now() const;
+  /// Block the calling (driver) thread until now() >= t.
+  void sleep_until(SimTime t) const;
 
-  bool post(ProcessId id, std::function<void()> fn) override;
-  bool run_on_node_sync(ProcessId id, std::function<void()> fn) override;
+  /// Run `fn` in node `id`'s callback context and wait for it. False when
+  /// the node is dead (or dies first) or the reactor is stopping.
+  bool run_on_node_sync(ProcessId id, std::function<void()> fn);
 
-  std::vector<LifeEvent> crash_events() const override;
-  std::vector<LifeEvent> revive_events() const override;
+  /// Measured fault timeline (SimTime), for the offline oracle.
+  std::vector<LifeEvent> crash_events() const;
+  std::vector<LifeEvent> revive_events() const;
 
   // ---- Diagnostics: stable only once stop() returned -----------------------
-  std::uint64_t delivered_messages() const override;
-  std::uint64_t dropped_messages() const override;
-  std::uint64_t frame_errors() const override;
-  std::uint64_t connections_accepted() const override;
-  TransportCounters stats() const override;
-  std::vector<ChaosEvent> chaos_events() const override;
-  ReactorCounters reactor_stats() const override;
+  std::uint64_t delivered_messages() const;
+  std::uint64_t dropped_messages() const;
+  std::uint64_t frame_errors() const;
+  std::uint64_t connections_accepted() const;
+  /// Session-layer counters, aggregated over all nodes.
+  TransportCounters stats() const;
+  /// All injected chaos events, merged across senders in canonical order.
+  std::vector<ChaosEvent> chaos_events() const;
+  /// Event-loop counters, summed over workers.
+  ReactorCounters reactor_stats() const;
 
  private:
   friend class ReactorEndpoint;

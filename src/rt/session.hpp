@@ -1,22 +1,20 @@
 // The reliable-delivery session layer of the live transport (protocol v2),
-// extracted as a backend-neutral, nonblocking state machine. One
+// extracted as an I/O-free, nonblocking state machine. One
 // NodeSession is the per-node protocol brain: sequence assignment,
 // bounded retransmit queues with exponential backoff + jitter, duplicate
 // suppression, cumulative + selective ACKs, session epochs, chaos
 // injection at the frame boundary, and surfaced-loss accounting.
 //
 // It performs no I/O and owns no sockets or timers: everything it needs
-// from its host backend goes through the SessionHost interface, and the
-// host learns when to call back in via next_due(). Both live backends —
-// thread-per-node (rt/live_transport, poll loops) and the epoll reactor
-// (rt/reactor, worker shards) — host this exact object, which is what
-// "replacing thread-per-node without touching protocol semantics" means
-// mechanically: the protocol is this file, the backends are schedulers.
+// from its host goes through the SessionHost interface, and the
+// host learns when to call back in via next_due(). The epoll reactor
+// (rt/reactor, worker shards) hosts it: the protocol is this file, the
+// reactor is only its scheduler.
 //
 // Threading contract: every method must be called from the node's single
-// execution context (its loop thread, or its reactor worker while holding
-// the shard). bump_epoch() is the one exception — the driver calls it
-// during revive(), while the node's context is provably not running.
+// execution context (its reactor worker). bump_epoch() is the one
+// exception — the driver calls it during revive(), while the node's context
+// is provably not running.
 #pragma once
 
 #include <chrono>

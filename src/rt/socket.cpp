@@ -22,7 +22,7 @@ namespace {
 
 [[noreturn]] void fail(const std::string& what) {
   // std::system_category().message is the thread-safe spelling of
-  // strerror(errno) — live-transport loop threads fail concurrently.
+  // strerror(errno) — reactor worker threads fail concurrently.
   throw TransportError(what + ": " + std::system_category().message(errno));
 }
 
@@ -109,29 +109,6 @@ Fd accept_conn(const Fd& listener) {
   return Fd(fd);
 }
 
-Fd connect_to(const SockAddr& addr) {
-  const int domain = addr.kind == SockAddr::Kind::kTcp ? AF_INET : AF_UNIX;
-  Fd fd(::socket(domain, SOCK_STREAM, 0));
-  if (!fd.valid()) {
-    fail("socket");
-  }
-  int rc;
-  if (addr.kind == SockAddr::Kind::kTcp) {
-    sockaddr_in sa = make_tcp_addr(addr.port);
-    const int one = 1;
-    ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    rc = ::connect(fd.get(), reinterpret_cast<sockaddr*>(&sa), sizeof(sa));
-  } else {
-    sockaddr_un sa = make_unix_addr(addr.path);
-    rc = ::connect(fd.get(), reinterpret_cast<sockaddr*>(&sa), sizeof(sa));
-  }
-  if (rc < 0) {
-    return Fd{};  // refused / no listener: the caller retries with backoff
-  }
-  set_nonblocking(fd.get());
-  return fd;
-}
-
 IoResult read_some(int fd, std::uint8_t* buf, std::size_t len) {
   for (;;) {
     const ssize_t k = ::read(fd, buf, len);
@@ -215,8 +192,8 @@ bool connect_finish(const Fd& fd) {
 }
 
 std::string make_socket_dir() {
-  // Single-threaded startup path: LiveTransport reads TMPDIR once in its
-  // constructor, before any loop thread exists.
+  // Single-threaded startup path: ReactorTransport reads TMPDIR once in its
+  // constructor, before any worker thread exists.
   const char* base = std::getenv("TMPDIR");  // NOLINT(concurrency-mt-unsafe)
   std::string templ =
       std::string(base != nullptr && *base != '\0' ? base : "/tmp") +

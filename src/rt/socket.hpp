@@ -1,8 +1,7 @@
 // Thin RAII layer over the POSIX sockets the live transport runs on:
 // loopback TCP (127.0.0.1, ephemeral ports) or Unix-domain stream sockets
 // (one path per node under a private directory). Everything here is
-// blocking-free except connect, which the caller wraps in a retry/backoff
-// loop (rt/live_transport).
+// nonblocking: dials go through connect_start / connect_finish.
 #pragma once
 
 #include <cstdint>
@@ -64,10 +63,6 @@ Fd listen_on(SockAddr& addr);
 
 /// Accept one pending connection (non-blocking); invalid Fd if none.
 Fd accept_conn(const Fd& listener);
-
-/// One blocking connect attempt; invalid Fd on refusal/failure. The
-/// returned socket is switched to non-blocking.
-Fd connect_to(const SockAddr& addr);
 
 void set_nonblocking(int fd);
 

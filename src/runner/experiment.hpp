@@ -22,10 +22,6 @@
 #include "trace/behavior.hpp"
 #include "trace/execution.hpp"
 
-namespace hpd::parallel {
-class ThreadPool;
-}  // namespace hpd::parallel
-
 namespace hpd::runner {
 
 enum class DetectorKind {
@@ -74,11 +70,6 @@ struct ExperimentConfig {
   /// Re-send the last aggregate to a new parent after reattachment
   /// (Section III-F example; reports may have died with the old parent).
   bool resend_last_on_attach = true;
-  /// Optional worker pool (not owned) handed to the centralized sink for
-  /// large solution-batch aggregations. Bit-identical to the serial path
-  /// (detect/par_aggregate.hpp), so the simulation stays deterministic;
-  /// only worth attaching for wide clocks (work threshold applies).
-  parallel::ThreadPool* aggregate_pool = nullptr;
 
   // ---- Failure handling ---------------------------------------------------
   bool heartbeats = false;  ///< enable the ft layer (hierarchical mode only)

@@ -78,7 +78,6 @@ void ProcessRuntime::setup_detector() {
       hooks.now = [this] { return shared_.net->now(); };
       sink_.emplace(self_, all, std::move(hooks), cfg.prune_mode,
                     cfg.queue_capacity);
-      sink_->set_thread_pool(cfg.aggregate_pool);
     } else if (cfg.detector == DetectorKind::kSlicing) {
       detect::SlicingDetector::Hooks hooks;
       hooks.on_occurrence = [this](const detect::OccurrenceRecord& rec) {

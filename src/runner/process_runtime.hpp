@@ -5,7 +5,7 @@
 //
 // The runtime is written against transport::Endpoint only, so the exact
 // same code executes inside the deterministic simulator (sim::Network) and
-// over real threads + sockets (rt::LiveTransport).
+// over real sockets (rt::ReactorTransport).
 #pragma once
 
 #include <deque>
@@ -87,7 +87,7 @@ class ProcessRuntime final : public transport::Node {
  public:
   /// Experiment-wide context shared by all runtimes (owned by the driver).
   /// In the live runtime, metrics / occurrences / global_count point at
-  /// per-node storage (merged at shutdown) so node threads never share
+  /// per-node storage (merged at shutdown) so reactor workers never share
   /// mutable state.
   struct Shared {
     const ExperimentConfig* config = nullptr;

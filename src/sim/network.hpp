@@ -4,7 +4,7 @@
 //
 // Network is the simulator backend of transport::Endpoint — the interface
 // runner::ProcessRuntime is written against — so the same protocol stack
-// also runs over the live thread/socket transport (rt::LiveTransport).
+// also runs over the live socket transport (rt::ReactorTransport).
 #pragma once
 
 #include <cstdint>

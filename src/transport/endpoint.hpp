@@ -5,9 +5,10 @@
 //   * sim::Network       — deterministic discrete-event simulation; send
 //                          delays are sampled from a DelayModel, time is
 //                          virtual, everything runs on one thread.
-//   * rt::LiveTransport  — real OS threads and loopback TCP / Unix-domain
-//                          sockets; time is scaled wall clock, messages
-//                          travel as checksummed frames (wire/frame).
+//   * rt::ReactorTransport — epoll worker threads over loopback TCP /
+//                          Unix-domain sockets; time is scaled wall clock,
+//                          messages travel as checksummed frames
+//                          (wire/frame).
 //
 // runner::ProcessRuntime (the full protocol stack: app layer, hierarchical
 // engine, heartbeats, reattachment) is written against this interface only,
@@ -15,7 +16,7 @@
 //
 // Threading contract: all calls for node `id` must come from the context
 // that runs `id`'s callbacks — the scheduler thread in the simulator, the
-// node's own event-loop thread in the live runtime. `now()` is safe from
+// node's reactor worker in the live runtime. `now()` is safe from
 // any thread.
 #pragma once
 

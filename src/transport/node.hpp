@@ -1,7 +1,7 @@
 // Interface every protocol node implements, independent of the transport
 // carrying its messages. The deterministic simulator invokes these callbacks
 // from the event loop thread; the live runtime invokes them from the node's
-// own event-loop thread (never concurrently with themselves or each other).
+// reactor worker (never concurrently with themselves or each other).
 #pragma once
 
 #include "transport/message.hpp"
@@ -32,7 +32,7 @@ class Node {
   /// implementations should treat the peer like a failed neighbor (e.g.
   /// trigger ft::reattach) or re-issue the request. Only the live transport
   /// calls this — the simulator's losses are planned, not discovered — and
-  /// it does so on this node's loop thread like every other callback.
+  /// it does so on this node's reactor worker like every other callback.
   virtual void on_peer_unreachable(ProcessId peer) { (void)peer; }
 };
 

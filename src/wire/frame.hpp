@@ -52,7 +52,7 @@ std::vector<std::uint8_t> frame(std::span<const std::uint8_t> payload);
 /// *poisoned* afterwards: a stream that lost sync cannot be trusted again
 /// (there is no way to find the next frame boundary), so every later feed()
 /// or next() also throws. The only recovery is a fresh connection with a
-/// fresh reader — which is exactly what rt::LiveTransport does.
+/// fresh reader — which is exactly what rt::ReactorTransport does.
 class FrameReader {
  public:
   /// Append a chunk of the stream.

@@ -1,9 +1,9 @@
 // Unit tests for the backend-neutral connection state machine (rt::Conn)
 // over a socketpair: framed round-trips, partial-write resume under a tiny
 // send buffer, orderly-close detection, and — the reason this file exists —
-// reader poisoning after stream corruption. Both live backends (thread-per-
-// node and the epoll reactor) host exactly this object, so the poisoning /
-// teardown contract is proved once here instead of per backend.
+// reader poisoning after stream corruption. The epoll reactor hosts exactly
+// this object, so the poisoning / teardown contract is proved here on a
+// socketpair rather than through the reactor.
 #include "rt/conn.hpp"
 
 #include <gtest/gtest.h>

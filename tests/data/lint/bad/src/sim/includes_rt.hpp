@@ -1,4 +1,4 @@
 // Fixture: sim must never reach into the live runtime (rule `layering`).
 #pragma once
 
-#include "rt/bounded_queue.hpp"
+#include "rt/session.hpp"

@@ -174,7 +174,7 @@ TEST(FrameDecoder, PoisonedAfterChecksumMismatch) {
   // A stream that lost sync cannot be trusted again: after the first
   // corruption the reader must refuse every further feed()/next(), even if
   // the later bytes happen to form valid frames. Recovery is a fresh
-  // connection with a fresh reader (which is what rt::LiveTransport does).
+  // connection with a fresh reader (which is what rt::ReactorTransport does).
   std::vector<std::uint8_t> stream;
   append_frame(stream, bytes_of({1, 2, 3}));
   stream[2] ^= 0x10u;  // corrupt a payload byte: CRC mismatch

@@ -1,7 +1,7 @@
 // Chaos hardening of the live transport: frame-level fault injection under
 // the reliable session layer, checked end-to-end.
 //
-// The contract under test (see rt/live_transport.hpp): chaos may drop,
+// The contract under test (see rt/session.hpp): chaos may drop,
 // duplicate, corrupt, delay or reset DATA frames, yet every accepted message
 // is either delivered exactly once or *surfaced* through
 // transport::Node::on_peer_unreachable and the surfaced_losses counter —
@@ -28,7 +28,7 @@
 #include "metrics/counters.hpp"
 #include "rt/chaos.hpp"
 #include "rt/live_runner.hpp"
-#include "rt/live_transport.hpp"
+#include "rt/reactor/reactor_transport.hpp"
 #include "runner/experiment.hpp"
 #include "transport/endpoint.hpp"
 #include "transport/node.hpp"
@@ -37,7 +37,7 @@ namespace hpd {
 namespace {
 
 /// Minimal programmable node: behaviour installed as lambdas, state read
-/// only after LiveTransport::stop() has joined every loop thread.
+/// only after ReactorTransport::stop() has joined every worker thread.
 class ChaosNode : public transport::Node {
  public:
   void on_start() override {
@@ -76,7 +76,7 @@ class ChaosNode : public transport::Node {
   int unreachable_upcalls = 0;
 };
 
-void attach(rt::LiveTransport& net, std::vector<ChaosNode>& nodes) {
+void attach(rt::ReactorTransport& net, std::vector<ChaosNode>& nodes) {
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const auto id = static_cast<ProcessId>(i);
     nodes[i].self = id;
@@ -113,7 +113,7 @@ TEST(LiveChaos, ReliableDeliveryUnderDropAndDup) {
   cfg.chaos.dup_p = 0.10;
   cfg.chaos.until = 20.0;  // stop injecting so retransmission can flush
   cfg.chaos.seed = 7;
-  rt::LiveTransport net(kN, cfg);
+  rt::ReactorTransport net(kN, cfg);
   attach(net, nodes);
   net.start();
   net.sleep_until(80.0);
@@ -164,7 +164,7 @@ TEST(LiveChaos, CooldownExpiresOnRevive) {
   rt::LiveConfig cfg;
   cfg.time_scale = 0.005;
   cfg.peer_down_cooldown = std::chrono::milliseconds(60000);
-  rt::LiveTransport net(2, cfg);
+  rt::ReactorTransport net(2, cfg);
   attach(net, nodes);
   net.start();
   net.sleep_until(kCrashAt);
@@ -215,7 +215,7 @@ TEST(LiveChaos, CorruptStreamResyncsByReconnect) {
   cfg.chaos.corrupt_p = 0.30;
   cfg.chaos.until = 20.0;
   cfg.chaos.seed = 11;
-  rt::LiveTransport net(2, cfg);
+  rt::ReactorTransport net(2, cfg);
   attach(net, nodes);
   net.start();
   net.sleep_until(80.0);

@@ -1,6 +1,7 @@
 // End-to-end tests of the live runtime: the full protocol stack (app layer,
-// hierarchical detection, heartbeats, reattachment) over real threads and
-// sockets, validated by the same offline oracles the model checker uses.
+// hierarchical detection, heartbeats, reattachment) over the epoll reactor
+// and real sockets, validated by the same offline oracles the model checker
+// uses.
 //
 // The differential works because Theorem 2's detection outcome is
 // schedule-independent (confluence): whatever interleaving the kernel
@@ -19,7 +20,6 @@
 #include "net/spanning_tree.hpp"
 #include "net/topology.hpp"
 #include "rt/live_runner.hpp"
-#include "rt/live_transport.hpp"
 #include "runner/experiment.hpp"
 #include "trace/pulse.hpp"
 
@@ -154,12 +154,13 @@ TEST(LiveRuntime, CentralizedBaselineMatchesSim) {
   EXPECT_GT(live.result.metrics.msgs_total(), 0u);
 }
 
-// The ISSUE's acceptance scenario: N = 16 nodes on a multi-hop (grid)
-// topology, one injected crash plus reattachment, running long enough for
-// repair to settle so the surviving-subtree coverage oracle (Section III-F)
-// applies. Heartbeat timing is relaxed relative to the simulator defaults —
-// real scheduler jitter must stay well inside the suspicion timeout.
-void crash_reattach_soak_16(rt::LiveBackendKind backend) {
+// N = 16 nodes on a multi-hop (grid) topology, one injected crash plus
+// reattachment, running long enough for repair to settle so the
+// surviving-subtree coverage oracle (Section III-F) applies. Heartbeat timing
+// is relaxed relative to the simulator defaults — real scheduler jitter must
+// stay well inside the suspicion timeout. Crash teardown, revive rebinding,
+// reattachment and the coverage oracle must all hold on the worker pool.
+TEST(LiveRuntime, CrashReattachSoak16NodesReactor) {
   mc::McCase c;
   c.topology = "grid:4x4";
   c.workload = mc::WorkloadKind::kPulse;
@@ -175,7 +176,6 @@ void crash_reattach_soak_16(rt::LiveBackendKind backend) {
   cfg.hb_config.timeout_multiplier = 4.0;
 
   rt::LiveConfig lc;
-  lc.backend = backend;
   lc.time_scale = 0.01;  // 10 ms per unit: heartbeat timeout = 200 ms real
   rt::LiveResult res = rt::run_live_experiment(cfg, lc);
 
@@ -201,24 +201,9 @@ void crash_reattach_soak_16(rt::LiveBackendKind backend) {
   for (const bool a : res.result.final_alive) {
     EXPECT_TRUE(a);  // the crashed node revived and survived to the end
   }
-  if (backend == rt::LiveBackendKind::kReactor) {
-    EXPECT_GT(res.reactor.workers, 0u);
-    EXPECT_GT(res.reactor.wakeups, 0u);
-    EXPECT_GT(res.reactor.timer_fires, 0u);
-  } else {
-    EXPECT_EQ(res.reactor.workers, 0u);  // thread backend reports no reactor
-  }
-}
-
-TEST(LiveRuntime, CrashReattachSoak16Nodes) {
-  crash_reattach_soak_16(rt::LiveBackendKind::kThreads);
-}
-
-// The same soak hosted by the epoll reactor: identical protocol stack,
-// different scheduler — crash teardown, revive rebinding, reattachment and
-// the coverage oracle must all hold on the worker-pool execution engine.
-TEST(LiveRuntime, CrashReattachSoak16NodesReactor) {
-  crash_reattach_soak_16(rt::LiveBackendKind::kReactor);
+  EXPECT_GT(res.reactor.workers, 0u);
+  EXPECT_GT(res.reactor.wakeups, 0u);
+  EXPECT_GT(res.reactor.timer_fires, 0u);
 }
 
 // A quick many-nodes-per-worker sanity run: 64 nodes multiplexed onto at
@@ -234,7 +219,6 @@ TEST(LiveRuntime, ReactorShardsManyNodesPerWorker) {
 
   runner::ExperimentConfig cfg = mc::build_case(c);
   rt::LiveConfig lc;
-  lc.backend = rt::LiveBackendKind::kReactor;
   lc.reactor_workers = 2;
   lc.time_scale = 0.01;
   rt::LiveResult res = rt::run_live_experiment(cfg, lc);

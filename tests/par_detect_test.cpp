@@ -1,26 +1,19 @@
-// Byte-identity tests for the work-parallel detection paths:
-//
-//   ParallelAggregateTest  aggregate_parallel() vs the serial aggregate()
-//                          over random batches — identical clocks, weight,
-//                          completion time, and provenance shape for every
-//                          pool size, including above/below the slice
-//                          alignment and the inline/heap storage seam
-//   ParallelReplayTest     replay_triple() and the *_sharded() drivers vs
-//                          their serial counterparts over recorded
-//                          executions — identical solution streams
+// Byte-identity tests for the work-parallel offline replay drivers:
+// replay_triple() and the *_sharded() drivers vs their serial counterparts
+// over recorded executions — identical solution streams.
 //
 // Named Parallel* on purpose: the TSan CI leg selects suites by that
 // token, so these run with full race instrumentation.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "detect/offline/par_replay.hpp"
-#include "detect/par_aggregate.hpp"
 #include "interval/interval.hpp"
 #include "net/spanning_tree.hpp"
 #include "net/topology.hpp"
@@ -30,89 +23,6 @@
 
 namespace hpd {
 namespace {
-
-VectorClock random_clock(Rng& rng, std::size_t n, ClockValue max_value) {
-  VectorClock vc(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    vc[i] = static_cast<ClockValue>(
-        rng.uniform_int(0, static_cast<std::int64_t>(max_value)));
-  }
-  return vc;
-}
-
-std::vector<Interval> random_batch(Rng& rng, std::size_t count, std::size_t n,
-                                   bool with_provenance) {
-  std::vector<Interval> out(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    out[k].lo = random_clock(rng, n, 60);
-    out[k].hi = random_clock(rng, n, 60);
-    out[k].origin = static_cast<ProcessId>(k);
-    out[k].seq = static_cast<SeqNum>(k + 1);
-    out[k].weight = static_cast<std::uint32_t>(1 + rng.uniform_index(3));
-    out[k].completed_at = static_cast<SimTime>(rng.uniform_index(1000));
-    if (with_provenance) {
-      attach_base_provenance(out[k]);
-    }
-  }
-  return out;
-}
-
-void expect_identical(const Interval& got, const Interval& want) {
-  ASSERT_EQ(got.lo.size(), want.lo.size());
-  for (std::size_t i = 0; i < got.lo.size(); ++i) {
-    ASSERT_EQ(got.lo[i], want.lo[i]) << "lo[" << i << "]";
-    ASSERT_EQ(got.hi[i], want.hi[i]) << "hi[" << i << "]";
-  }
-  EXPECT_EQ(got.origin, want.origin);
-  EXPECT_EQ(got.seq, want.seq);
-  EXPECT_EQ(got.weight, want.weight);
-  EXPECT_EQ(got.aggregated, want.aggregated);
-  EXPECT_EQ(got.completed_at, want.completed_at);
-  EXPECT_EQ(base_intervals(got), base_intervals(want));
-}
-
-TEST(ParallelAggregateTest, BitIdenticalToSerialAcrossPoolAndBatchShapes) {
-  Rng rng(20260811);
-  // Clock widths straddle the slice alignment (16 components/cache line)
-  // and the inline/heap seam; batch sizes cross the parallel threshold.
-  const std::size_t widths[] = {1, 15, 16, 17, 64, 255, 1024};
-  const std::size_t batches[] = {1, 2, 7, 40};
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{3}}) {
-    parallel::ThreadPool pool(workers);
-    for (const std::size_t n : widths) {
-      for (const std::size_t count : batches) {
-        for (const bool prov : {false, true}) {
-          SCOPED_TRACE("workers=" + std::to_string(workers) +
-                       " n=" + std::to_string(n) +
-                       " batch=" + std::to_string(count) +
-                       " prov=" + std::to_string(prov));
-          const std::vector<Interval> xs = random_batch(rng, count, n, prov);
-          const std::span<const Interval> span(xs);
-          const Interval serial = aggregate(span, 0, 7);
-          const Interval par = detect::aggregate_parallel(span, 0, 7, pool);
-          expect_identical(par, serial);
-        }
-      }
-    }
-  }
-}
-
-TEST(ParallelAggregateTest, ThresholdGatesTheParallelPath) {
-  parallel::ThreadPool pool(2);
-  parallel::ThreadPool solo(1);
-  using detect::aggregate_should_parallelize;
-  using detect::kParallelAggregateMinWork;
-  EXPECT_FALSE(aggregate_should_parallelize(8, 16, nullptr));
-  EXPECT_FALSE(aggregate_should_parallelize(8, 16, &pool));
-  // A single-worker pool never qualifies — the handoff cannot win.
-  EXPECT_FALSE(
-      aggregate_should_parallelize(kParallelAggregateMinWork, 4096, &solo));
-  EXPECT_TRUE(aggregate_should_parallelize(
-      kParallelAggregateMinWork / 4096 + 1, 4096, &pool));
-}
-
-// ---- Parallel offline replay -------------------------------------------------
 
 runner::ExperimentConfig gossip_case(std::uint64_t seed,
                                      runner::DetectorKind kind) {
@@ -223,27 +133,6 @@ TEST(ParallelReplayTest, ShardedDriversPreserveInputOrderAndContent) {
               solutions_fingerprint(detect::possibly_replay(execs[i])))
         << "execution " << i;
   }
-}
-
-// Attaching a pool to the centralized sink must never change the
-// occurrence stream — the work threshold decides cost, aggregate_parallel
-// guarantees content. Run the same experiment with and without the pool
-// and require identical occurrence records.
-TEST(ParallelReplayTest, SinkThreadPoolDoesNotChangeOccurrences) {
-  parallel::ThreadPool pool(2);
-  auto cfg = gossip_case(31, runner::DetectorKind::kCentralized);
-  const auto serial = runner::run_experiment(cfg);
-  cfg.aggregate_pool = &pool;
-  const auto parallel_run = runner::run_experiment(cfg);
-  ASSERT_EQ(parallel_run.occurrences.size(), serial.occurrences.size());
-  for (std::size_t i = 0; i < serial.occurrences.size(); ++i) {
-    expect_identical(parallel_run.occurrences[i].aggregate,
-                     serial.occurrences[i].aggregate);
-    EXPECT_EQ(parallel_run.occurrences[i].index, serial.occurrences[i].index);
-    EXPECT_EQ(parallel_run.occurrences[i].global,
-              serial.occurrences[i].global);
-  }
-  EXPECT_EQ(parallel_run.global_count, serial.global_count);
 }
 
 }  // namespace

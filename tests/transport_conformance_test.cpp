@@ -1,6 +1,6 @@
 // Transport conformance: the behavioural contract of transport::Endpoint,
 // checked against every backend — the deterministic simulator and the live
-// thread/socket transport (unix-domain and TCP flavours).
+// epoll reactor over sockets (unix-domain and TCP flavours).
 //
 // Assertions are ordering-agnostic: the contract promises delivery, payload
 // integrity, timer semantics and crash behaviour, but no ordering across
@@ -21,6 +21,7 @@
 #include "metrics/counters.hpp"
 #include "rt/backend.hpp"
 #include "rt/chaos.hpp"
+#include "rt/reactor/reactor_transport.hpp"
 #include "sim/delay.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
@@ -122,12 +123,11 @@ class LiveHarness final : public Harness {
  public:
   LiveHarness(std::vector<ScriptNode>& nodes,
               std::function<bool(ProcessId, ProcessId)> link_ok,
-              rt::SockAddr::Kind kind, rt::LiveBackendKind backend) {
+              rt::SockAddr::Kind kind) {
     rt::LiveConfig cfg;
-    cfg.backend = backend;
     cfg.socket_kind = kind;
     cfg.time_scale = 0.005;  // 5 ms per protocol time unit: jitter-robust
-    net_ = rt::make_live_backend(nodes.size(), cfg);
+    net_ = std::make_unique<rt::ReactorTransport>(nodes.size(), cfg);
     if (link_ok) {
       net_->set_link_filter(std::move(link_ok));
     }
@@ -148,10 +148,12 @@ class LiveHarness final : public Harness {
   void stop() override { net_->stop(); }
 
  private:
-  std::unique_ptr<rt::LiveBackend> net_;
+  std::unique_ptr<rt::ReactorTransport> net_;
 };
 
-enum class Backend { kSim, kLiveUnix, kLiveTcp, kReactorUnix, kReactorTcp };
+// Explicit values: gtest prints the parameter's bytes into each test's id,
+// so they stay fixed when a backend is added or removed.
+enum class Backend { kSim = 0, kReactorUnix = 3, kReactorTcp = 4 };
 
 class TransportConformance : public ::testing::TestWithParam<Backend> {
  protected:
@@ -161,22 +163,12 @@ class TransportConformance : public ::testing::TestWithParam<Backend> {
     switch (GetParam()) {
       case Backend::kSim:
         return std::make_unique<SimHarness>(nodes, std::move(link_ok));
-      case Backend::kLiveUnix:
-        return std::make_unique<LiveHarness>(nodes, std::move(link_ok),
-                                             rt::SockAddr::Kind::kUnix,
-                                             rt::LiveBackendKind::kThreads);
-      case Backend::kLiveTcp:
-        return std::make_unique<LiveHarness>(nodes, std::move(link_ok),
-                                             rt::SockAddr::Kind::kTcp,
-                                             rt::LiveBackendKind::kThreads);
       case Backend::kReactorUnix:
         return std::make_unique<LiveHarness>(nodes, std::move(link_ok),
-                                             rt::SockAddr::Kind::kUnix,
-                                             rt::LiveBackendKind::kReactor);
+                                             rt::SockAddr::Kind::kUnix);
       case Backend::kReactorTcp:
         return std::make_unique<LiveHarness>(nodes, std::move(link_ok),
-                                             rt::SockAddr::Kind::kTcp,
-                                             rt::LiveBackendKind::kReactor);
+                                             rt::SockAddr::Kind::kTcp);
     }
     return nullptr;
   }
@@ -374,7 +366,7 @@ TEST_P(TransportConformance, CrashStopsDeliveryAndAliveReflectsIt) {
 // runs (each attempt is its own deterministic decision, but *how many*
 // attempts happen depends on timing).
 TEST(TransportChaosDeterminism, SameSeedSameEventLog) {
-  auto run_once = [](rt::LiveBackendKind backend) {
+  auto run_once = [](int workers) {
     constexpr std::size_t kN = 3;
     std::vector<ScriptNode> nodes(kN);
     for (auto& node : nodes) {
@@ -390,7 +382,7 @@ TEST(TransportChaosDeterminism, SameSeedSameEventLog) {
       };
     }
     rt::LiveConfig cfg;
-    cfg.backend = backend;
+    cfg.reactor_workers = workers;
     cfg.time_scale = 0.005;
     cfg.retx_initial = 1.0e5;  // no retransmissions inside the test window
     cfg.chaos.drop_p = 0.25;
@@ -399,28 +391,26 @@ TEST(TransportChaosDeterminism, SameSeedSameEventLog) {
     cfg.chaos.reset_p = 0.05;
     cfg.chaos.delay_p = 0.10;
     cfg.chaos.seed = 42;
-    std::unique_ptr<rt::LiveBackend> net = rt::make_live_backend(kN, cfg);
+    rt::ReactorTransport net(kN, cfg);
     for (std::size_t i = 0; i < kN; ++i) {
       const auto id = static_cast<ProcessId>(i);
       nodes[i].self = id;
-      nodes[i].net = &net->endpoint(id);
-      net->register_node(id, nodes[i]);
+      nodes[i].net = &net.endpoint(id);
+      net.register_node(id, nodes[i]);
     }
-    net->start();
-    net->sleep_until(net->now() + 20.0);
-    net->stop();
-    return net->chaos_events();
+    net.start();
+    net.sleep_until(net.now() + 20.0);
+    net.stop();
+    return net.chaos_events();
   };
 
-  // Determinism across runs — and across *backends*: the chaos plan is a
-  // pure function of (seed, src, dst, seq, attempt), so the epoll reactor
-  // must produce the byte-identical event log the thread backend does.
-  const std::vector<rt::ChaosEvent> a =
-      run_once(rt::LiveBackendKind::kThreads);
-  const std::vector<rt::ChaosEvent> b =
-      run_once(rt::LiveBackendKind::kThreads);
-  const std::vector<rt::ChaosEvent> c =
-      run_once(rt::LiveBackendKind::kReactor);
+  // Determinism across runs — and across *schedulers*: the chaos plan is a
+  // pure function of (seed, src, dst, seq, attempt), so sharding the nodes
+  // over three workers must produce the byte-identical event log that one
+  // worker running every node does.
+  const std::vector<rt::ChaosEvent> a = run_once(1);
+  const std::vector<rt::ChaosEvent> b = run_once(1);
+  const std::vector<rt::ChaosEvent> c = run_once(3);
   EXPECT_FALSE(a.empty());
   auto expect_same = [&](const std::vector<rt::ChaosEvent>& x,
                          const char* label) {
@@ -435,24 +425,20 @@ TEST(TransportChaosDeterminism, SameSeedSameEventLog) {
           << " attempt=" << x[i].attempt;
     }
   };
-  expect_same(b, "threads-vs-threads");
-  expect_same(c, "threads-vs-reactor");
+  expect_same(b, "1-worker-vs-1-worker");
+  expect_same(c, "1-worker-vs-3-workers");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, TransportConformance,
-    ::testing::Values(Backend::kSim, Backend::kLiveUnix, Backend::kLiveTcp,
-                      Backend::kReactorUnix, Backend::kReactorTcp),
+    ::testing::Values(Backend::kSim, Backend::kReactorUnix,
+                      Backend::kReactorTcp),
     // Named `pinfo`, not `info`: the INSTANTIATE_ macro itself declares an
     // `info` parameter the lambda would shadow (-Wshadow).
     [](const ::testing::TestParamInfo<Backend>& pinfo) -> std::string {
       switch (pinfo.param) {
         case Backend::kSim:
           return "Sim";
-        case Backend::kLiveUnix:
-          return "LiveUnix";
-        case Backend::kLiveTcp:
-          return "LiveTcp";
         case Backend::kReactorUnix:
           return "ReactorUnix";
         case Backend::kReactorTcp:

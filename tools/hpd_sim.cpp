@@ -75,17 +75,16 @@ namespace {
   --fail T:NODE       crash NODE at time T (repeatable)
   --revive T:NODE     bring NODE back at time T (repeatable)
   --fault-tolerant    enable heartbeats + tree repair (hier only)
-  --live              run over real threads + sockets (rt::LiveTransport)
-                      instead of the simulator, then check the merged
-                      detection stream against the offline oracles; exits 0
-                      iff they hold. Topology must be dary:D:H or grid:RxC,
-                      workload pulse or gossip, detector hier.
+  --live              run over real sockets on the epoll reactor
+                      (rt::ReactorTransport) instead of the simulator, then
+                      check the merged detection stream against the offline
+                      oracles; exits 0 iff they hold. Topology must be
+                      dary:D:H or grid:RxC, workload pulse or gossip,
+                      detector hier.
   --live-transport K  unix | tcp  (default unix; loopback either way)
-  --live-backend K    threads | reactor (default threads). threads runs one
-                      OS thread per node; reactor multiplexes all nodes onto
-                      a small epoll worker pool and scales --live to
-                      thousands of nodes.
-  --reactor-workers N reactor worker threads (default 0 = auto)
+  --reactor-workers N reactor worker threads (default 0 = auto); the
+                      reactor multiplexes all nodes onto this pool, so
+                      --live scales to thousands of nodes
   --live-scale S      real seconds per protocol time unit (default 0.01)
   --chaos SPEC        frame-level fault injection on the live transport
                       (requires --live): drop=P,dup=P,corrupt=P,reset=P,
@@ -188,7 +187,6 @@ struct Options {
   bool json = false;
   bool live = false;
   bool live_tcp = false;
-  bool live_reactor = false;
   int reactor_workers = 0;
   double live_scale = 0.01;
   std::string chaos;
@@ -389,16 +387,6 @@ Options parse(int argc, char** argv) {
         std::cerr << "--live-transport must be unix|tcp\n";
         std::exit(2);
       }
-    } else if (arg == "--live-backend") {
-      const std::string v = value();
-      if (v == "threads") {
-        opt.live_reactor = false;
-      } else if (v == "reactor") {
-        opt.live_reactor = true;
-      } else {
-        std::cerr << "--live-backend must be threads|reactor\n";
-        std::exit(2);
-      }
     } else if (arg == "--reactor-workers") {
       opt.reactor_workers =
           static_cast<int>(num_arg(value(), "reactor-workers"));
@@ -596,7 +584,6 @@ std::string json_num(double v) {
 /// plus the offline-oracle verdict on the merged detection stream.
 struct LiveInfo {
   const char* transport = "unix";
-  const char* backend = "threads";
   double scale = 0.0;
   const rt::LiveResult* res = nullptr;
   const std::vector<std::string>* violations = nullptr;
@@ -653,7 +640,6 @@ void report_json(std::ostream& os, const Options& opt,
   if (live != nullptr) {
     const TransportCounters& tc = live->res->transport;
     os << ",\n  \"live\": {\"transport\": \"" << live->transport
-       << "\", \"backend\": \"" << live->backend
        << "\", \"scale\": " << json_num(live->scale)
        << ", \"delivered_messages\": " << live->res->delivered_messages
        << ", \"frame_errors\": " << live->res->frame_errors
@@ -668,15 +654,13 @@ void report_json(std::ostream& os, const Options& opt,
        << ", \"acks_sent\": " << tc.acks_sent
        << ", \"chaos_events\": " << tc.chaos_events << "}";
     const ReactorCounters& rc = live->res->reactor;
-    if (rc.workers != 0) {
-      os << ", \"reactor\": {\"workers\": " << rc.workers
-         << ", \"wakeups\": " << rc.wakeups
-         << ", \"ready_events\": " << rc.ready_events
-         << ", \"timer_fires\": " << rc.timer_fires
-         << ", \"timers_scheduled\": " << rc.timers_scheduled
-         << ", \"max_outbound_backlog\": " << rc.max_outbound_backlog
-         << ", \"max_loop_micros\": " << rc.max_loop_micros << "}";
-    }
+    os << ", \"reactor\": {\"workers\": " << rc.workers
+       << ", \"wakeups\": " << rc.wakeups
+       << ", \"ready_events\": " << rc.ready_events
+       << ", \"timer_fires\": " << rc.timer_fires
+       << ", \"timers_scheduled\": " << rc.timers_scheduled
+       << ", \"max_outbound_backlog\": " << rc.max_outbound_backlog
+       << ", \"max_loop_micros\": " << rc.max_loop_micros << "}";
     auto put_events = [&](const char* key,
                           const std::vector<rt::LifeEvent>& evs) {
       os << ", \"" << key << "\": [";
@@ -776,20 +760,17 @@ void report_text(std::ostream& os, const Options& opt,
   if (live != nullptr) {
     const TransportCounters& tc = live->res->transport;
     os << "\nlive transport: " << live->transport
-       << " backend=" << live->backend
        << " scale=" << live->scale
        << " delivered=" << live->res->delivered_messages
        << " frame-errors=" << live->res->frame_errors
        << " connections=" << live->res->connections_accepted << "\n";
     const ReactorCounters& rc = live->res->reactor;
-    if (rc.workers != 0) {
-      os << "reactor: workers=" << rc.workers << " wakeups=" << rc.wakeups
-         << " ready-events=" << rc.ready_events
-         << " timer-fires=" << rc.timer_fires
-         << " timers-scheduled=" << rc.timers_scheduled
-         << " max-backlog=" << rc.max_outbound_backlog
-         << " max-loop-us=" << rc.max_loop_micros << "\n";
-    }
+    os << "reactor: workers=" << rc.workers << " wakeups=" << rc.wakeups
+       << " ready-events=" << rc.ready_events
+       << " timer-fires=" << rc.timer_fires
+       << " timers-scheduled=" << rc.timers_scheduled
+       << " max-backlog=" << rc.max_outbound_backlog
+       << " max-loop-us=" << rc.max_loop_micros << "\n";
     os << "reliability: sent=" << tc.reliable_sent
        << " delivered=" << tc.msgs_delivered
        << " retransmits=" << tc.retransmits
@@ -1411,8 +1392,6 @@ int run_live(const Options& opt) {
   }
 
   rt::LiveConfig lc;
-  lc.backend = opt.live_reactor ? rt::LiveBackendKind::kReactor
-                                : rt::LiveBackendKind::kThreads;
   lc.reactor_workers = opt.reactor_workers;
   lc.socket_kind = opt.live_tcp ? rt::SockAddr::Kind::kTcp
                                 : rt::SockAddr::Kind::kUnix;
@@ -1454,7 +1433,6 @@ int run_live(const Options& opt) {
 
   LiveInfo info;
   info.transport = opt.live_tcp ? "tcp" : "unix";
-  info.backend = opt.live_reactor ? "reactor" : "threads";
   info.scale = opt.live_scale;
   info.res = &live;
   info.violations = &violations;
