@@ -192,16 +192,23 @@ BENCHMARK(BM_QueueEngineSolve)->DenseRange(2, 10, 2);
 
 constexpr std::size_t kOfferQueues = 4;
 constexpr std::size_t kOfferPool = 1024;  // intervals regenerated per refill
+/// bench_e2e's pulse-wide shape: one queue per process (q = n = 341), so
+/// the engine runs on block summaries. Narrower widths keep kOfferQueues.
+constexpr std::size_t kWideOffer = 341;
+
+std::size_t offer_queues(std::size_t n) {
+  return n == kWideOffer ? n : kOfferQueues;
+}
 
 /// Rebuild the pool in place: per round, one interval per queue with
 /// mutually overlapping windows (as in BM_QueueEngineSolve), so every
-/// kOfferQueues-th offer completes a round, detects one solution, and
-/// prunes all heads — storage stays bounded.
+/// `queues`-th offer completes a round, detects one solution, and prunes
+/// all heads — storage stays bounded. The pool holds whole rounds.
 template <typename IntervalT, typename ClockT>
 void refill_offer_pool(std::vector<IntervalT>& pool, std::size_t n,
-                       SeqNum& round) {
+                       std::size_t queues, SeqNum& round) {
   for (std::size_t j = 0; j < pool.size(); ++round) {
-    for (std::size_t q = 0; q < kOfferQueues; ++q, ++j) {
+    for (std::size_t q = 0; q < queues; ++q, ++j) {
       IntervalT& x = pool[j];
       x.lo = ClockT(n);
       x.hi = ClockT(n);
@@ -224,18 +231,19 @@ void refill_offer_pool(std::vector<IntervalT>& pool, std::size_t n,
 template <typename Engine, typename IntervalT, typename ClockT>
 void offer_throughput(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const std::size_t queues = offer_queues(n);
   Engine engine;
-  for (std::size_t q = 0; q < kOfferQueues; ++q) {
+  for (std::size_t q = 0; q < queues; ++q) {
     engine.add_queue(static_cast<ProcessId>(q));
   }
   SeqNum round = 1;
-  std::vector<IntervalT> pool(kOfferPool);
-  refill_offer_pool<IntervalT, ClockT>(pool, n, round);
+  std::vector<IntervalT> pool((kOfferPool + queues - 1) / queues * queues);
+  refill_offer_pool<IntervalT, ClockT>(pool, n, queues, round);
   std::size_t k = 0;
   for (auto _ : state) {
     if (k == pool.size()) {
       state.PauseTiming();
-      refill_offer_pool<IntervalT, ClockT>(pool, n, round);
+      refill_offer_pool<IntervalT, ClockT>(pool, n, queues, round);
       k = 0;
       state.ResumeTiming();
     }
@@ -251,13 +259,17 @@ void offer_throughput(benchmark::State& state) {
 void BM_OfferThroughput(benchmark::State& state) {
   offer_throughput<detect::QueueEngine, Interval, VectorClock>(state);
 }
-BENCHMARK(BM_OfferThroughput)->Arg(8)->Arg(64)->Arg(256);
+BENCHMARK(BM_OfferThroughput)->Arg(8)->Arg(64)->Arg(256)->Arg(kWideOffer);
 
 void BM_OfferThroughputBaseline(benchmark::State& state) {
   offer_throughput<reference::detect::QueueEngine, reference::Interval,
                    reference::VectorClock>(state);
 }
-BENCHMARK(BM_OfferThroughputBaseline)->Arg(8)->Arg(64)->Arg(256);
+BENCHMARK(BM_OfferThroughputBaseline)
+    ->Arg(8)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(kWideOffer);
 
 // ---- Aggregate throughput: span ⊓ over a fan-in of 8 ----------------------
 

@@ -98,9 +98,8 @@ void HierNodeEngine::resend_last_report() {
   }
 }
 
-void HierNodeEngine::handle_solutions(
-    const std::vector<detect::Solution>& sols) {
-  for (const detect::Solution& sol : sols) {
+void HierNodeEngine::handle_solutions(std::vector<detect::Solution>&& sols) {
+  for (detect::Solution& sol : sols) {
     Interval agg = aggregate(std::span<const Interval>(sol.members), self_,
                              next_seq_++);
     detect::OccurrenceRecord rec;
@@ -110,7 +109,7 @@ void HierNodeEngine::handle_solutions(
     rec.latest_member_completion = agg.completed_at;
     rec.global = !has_parent_;
     rec.aggregate = agg;
-    rec.solution = sol.members;
+    rec.solution = std::move(sol.members);
     if (hooks_.on_occurrence) {
       hooks_.on_occurrence(rec);
     }

@@ -134,7 +134,7 @@ class HierNodeEngine {
   void restore(const Snapshot& snap);
 
  private:
-  void handle_solutions(const std::vector<detect::Solution>& sols);
+  void handle_solutions(std::vector<detect::Solution>&& sols);
   SimTime now() const { return hooks_.now ? hooks_.now() : 0.0; }
 
   ProcessId self_;

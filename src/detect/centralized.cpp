@@ -67,8 +67,8 @@ void CentralSink::restore(const Snapshot& snap) {
   occurrence_count_ = snap.occurrence_count;
 }
 
-void CentralSink::handle_solutions(const std::vector<Solution>& sols) {
-  for (const Solution& sol : sols) {
+void CentralSink::handle_solutions(std::vector<Solution>&& sols) {
+  for (Solution& sol : sols) {
     OccurrenceRecord rec;
     rec.detector = self_;
     rec.index = ++occurrence_count_;
@@ -76,7 +76,7 @@ void CentralSink::handle_solutions(const std::vector<Solution>& sols) {
     rec.global = true;
     rec.aggregate = aggregate(sol.members, self_, next_seq_++);
     rec.latest_member_completion = rec.aggregate.completed_at;
-    rec.solution = sol.members;
+    rec.solution = std::move(sol.members);
     if (hooks_.on_occurrence) {
       hooks_.on_occurrence(rec);
     }

@@ -71,7 +71,7 @@ class CentralSink {
   void restore(const Snapshot& snap);
 
  private:
-  void handle_solutions(const std::vector<Solution>& sols);
+  void handle_solutions(std::vector<Solution>&& sols);
   SimTime now() const { return hooks_.now ? hooks_.now() : 0.0; }
 
   ProcessId self_;

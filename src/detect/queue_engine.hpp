@@ -25,14 +25,34 @@
 // max(x_j) ≮ max(x_i); the listing's component-wise loop (line 27) misses
 // the equal-vectors corner case.
 //
-// Storage (ISSUE 5): the queues live in a dense, key-sorted slot vector —
-// one ring buffer of intervals per slot — with a ProcessId → slot side
-// index, and the detect-loop worklists are slot bitmaps. Steady-state
-// offer() (warm rings, n ≤ VectorClock::kInlineCapacity) performs zero
-// heap allocations on the no-solution path; intervals are moved, never
-// copied, from offer through the queue into the detected Solution. The
-// frozen pre-flattening implementation is kept under tests/reference/ and
-// differential tests pin this engine to it.
+// Storage: the queues live in a dense, key-sorted slot vector — one ring
+// buffer of intervals per slot — with a ProcessId → slot side index, and
+// the detect-loop worklists are slot bitmaps. Steady-state offer() (warm
+// rings, n ≤ VectorClock::kInlineCapacity) performs zero heap allocations
+// on the no-solution path; intervals are moved, never copied, from offer
+// through the queue into the detected Solution. Keys added in ascending
+// order are appended, so building a q-queue engine is O(q).
+//
+// Block summaries: with q > 16 queues the slots are grouped into blocks of
+// ⌈√q⌉ consecutive slots, each summarized by the ⊓ of its nonempty heads
+// (join of their lo, meet of their hi). For any vectors v,
+//   join(lo) ≤ v  ⇔  every member's lo ≤ v,   v ≤ meet(hi)  ⇔  v ≤ every
+//   member's hi,
+// so one summary test decides a whole block exactly: elimination scans a
+// block member by member only when its summary fails (and always scans
+// the new head's own block), and Eq. (10) pruning skips every block whose
+// meet(hi) ≰ max(x_a), since no member can then have max(x_b) < max(x_a).
+// A new head costs O(√q) clock passes instead of O(q). Summaries are built
+// lazily, only when a test asks for one, and go stale when a head of their
+// block changes; with q ≤ 16 there is one block, which is only ever the
+// new head's own, so small engines do no summary work. Blocks whose heads
+// have clocks of different widths are always scanned member by member, so
+// malformed input fails with the same error as a pairwise scan.
+// comparisons() keeps counting the pairwise decisions Algorithm 1 makes
+// (Table I's unit); clock_passes() counts the width-n passes actually made.
+// See DESIGN.md, key design decision 6. The frozen pre-flattening
+// implementation is kept under tests/reference/ and differential tests pin
+// this engine to it.
 #pragma once
 
 #include <bit>
@@ -128,8 +148,16 @@ class QueueEngine {
 
   // ---- Statistics (the paper's complexity units) --------------------------
 
-  /// Vector-timestamp comparisons performed (time-complexity unit).
+  /// Vector-timestamp comparisons Algorithm 1 makes (the paper's
+  /// time-complexity unit): two per pair of heads in elimination, and in
+  /// Eq. (10) pruning every b up to the first with max(x_b) < max(x_a).
+  /// Counted whether or not a block summary decided them.
   std::uint64_t comparisons() const { return comparisons_; }
+  /// Width-n clock passes this engine object actually made: member tests,
+  /// block-summary tests, and two per head folded into a rebuilt summary.
+  /// Equal to comparisons() while q ≤ 16. Work done by this process; not
+  /// part of the snapshot.
+  std::uint64_t clock_passes() const { return clock_passes_; }
   /// Intervals currently stored.
   std::size_t stored() const { return stored_; }
   /// Peak simultaneous storage (space-complexity unit).
@@ -288,13 +316,40 @@ class QueueEngine {
     bool has_pruned = false;
   };
 
-  bool vc_less_counted(const VectorClock& a, const VectorClock& b);
-  bool vc_leq_counted(const VectorClock& a, const VectorClock& b);
-  bool all_queues_nonempty() const;
+  /// ⊓ of the nonempty heads of one block of consecutive slots.
+  struct Block {
+    VectorClock lo;  ///< join of the heads' lo
+    VectorClock hi;  ///< meet of the heads' hi
+    bool stale = true;
+    bool empty = true;  ///< no head in the block
+    /// False when the heads' clocks differ in width: the summary is not
+    /// built and the block is always scanned member by member.
+    bool usable = false;
+  };
+
+  /// Engines with at most this many queues keep one block (no summaries).
+  static constexpr std::size_t kSingleBlockQueues = 16;
+
+  bool leq_pass(const VectorClock& a, const VectorClock& b);
+  bool less_pass(const VectorClock& a, const VectorClock& b);
   std::int32_t slot_index(ProcessId key) const {
     return has_queue(key) ? slot_of_[idx(key)] : -1;
   }
   void reindex_from(std::size_t pos);
+
+  /// Re-split the slots into blocks after the queue set changed.
+  void relayout();
+  /// Mark the block holding slot `s` stale (its head changed).
+  void touch(std::size_t s) {
+    if (!layout_stale_) {
+      blocks_[s / block_size_].stale = true;
+    }
+  }
+  /// Block `blk`'s summary, rebuilt first if stale.
+  const Block& summary(std::size_t blk);
+  /// First slot b ≠ a, ascending, with max(x_b) < max(x_a); slots_.size()
+  /// if none (Eq. (10) holds for a).
+  std::size_t first_smaller_max(std::size_t a);
 
   /// The detection cycle, seeded by the `updated_` bitmap (slots whose
   /// heads changed).
@@ -311,10 +366,22 @@ class QueueEngine {
   SlotBitmap updated_;
   SlotBitmap next_;
   SlotBitmap prune_;
+  /// Block summaries over slots_ (see the header comment).
+  std::vector<Block> blocks_;
+  std::size_t block_size_ = 1;
+  /// Set when the queue set changed; relayout() runs before the next scan.
+  bool layout_stale_ = true;
+  /// summary() scratch: the heads of the block being rebuilt.
+  std::vector<const Interval*> block_heads_;
+  /// Nonempty queues (a solution needs all of them).
+  std::size_t live_ = 0;
+  /// Slots holding a pruned head for restore_pruned().
+  std::size_t held_pruned_ = 0;
   PruneMode mode_;
   std::size_t capacity_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t comparisons_ = 0;
+  std::uint64_t clock_passes_ = 0;
   std::size_t stored_ = 0;
   std::size_t stored_peak_ = 0;
   std::uint64_t eliminated_ = 0;

@@ -262,8 +262,8 @@ void SlicingDetector::restore(const Snapshot& snap) {
   occurrence_count_ = snap.occurrence_count;
 }
 
-void SlicingDetector::handle_solutions(const std::vector<Solution>& sols) {
-  for (const Solution& sol : sols) {
+void SlicingDetector::handle_solutions(std::vector<Solution>&& sols) {
+  for (Solution& sol : sols) {
     OccurrenceRecord rec;
     rec.detector = self_;
     rec.index = ++occurrence_count_;
@@ -272,7 +272,7 @@ void SlicingDetector::handle_solutions(const std::vector<Solution>& sols) {
     rec.aggregate = aggregate(std::span<const Interval>(sol.members), self_,
                               next_seq_++);
     rec.latest_member_completion = rec.aggregate.completed_at;
-    rec.solution = sol.members;
+    rec.solution = std::move(sol.members);
     if (hooks_.on_occurrence) {
       hooks_.on_occurrence(rec);
     }

@@ -55,6 +55,56 @@ bool all_have_provenance(std::span<const Interval> xs) {
   return true;
 }
 
+// Eqs. (5)/(6) folded in place: lo ← lo ⊔ at(k).lo and hi ← hi ⊓ at(k).hi
+// for every k < count, over raw pointers. Going through component_max/min
+// would materialize a fresh clock per step — a heap allocation each for
+// n > VectorClock::kInlineCapacity, ~5x the cost of the arithmetic. Small
+// clocks keep the fused scalar loop (it unrolls in place); larger ones take
+// the dispatched many-input kernel, which keeps the lo/hi accumulators in
+// registers across every input instead of a read-modify-write pass per
+// input.
+template <typename At>
+void fold_bounds(VectorClock& lo, VectorClock& hi, std::size_t count, At at) {
+  ClockValue* pl = lo.data();
+  ClockValue* ph = hi.data();
+  const std::size_t n = lo.size();
+  HPD_REQUIRE(hi.size() == n, "aggregate: lo/hi size mismatch");
+  if (n <= VectorClock::kInlineCapacity) {
+    for (std::size_t k = 0; k < count; ++k) {
+      HPD_REQUIRE(at(k).lo.size() == n && at(k).hi.size() == n,
+                  "aggregate: clock size mismatch");
+      const ClockValue* ql = at(k).lo.data();
+      const ClockValue* qh = at(k).hi.data();
+      for (std::size_t i = 0; i < n; ++i) {
+        pl[i] = std::max(pl[i], ql[i]);  // Eq. (5)
+        ph[i] = std::min(ph[i], qh[i]);  // Eq. (6)
+      }
+    }
+    return;
+  }
+  for (std::size_t k = 0; k < count; ++k) {
+    HPD_REQUIRE(at(k).lo.size() == n && at(k).hi.size() == n,
+                "aggregate: clock size mismatch");
+  }
+  // Pointer groups are bounded so the scratch stays on the stack for any
+  // batch size; max/min are elementwise, so grouping cannot change a bit of
+  // the result.
+  const auto& ker = vc_simd::kernels();
+  constexpr std::size_t kGroup = 32;
+  const ClockValue* qls[kGroup];
+  const ClockValue* qhs[kGroup];
+  std::size_t k = 0;
+  while (k < count) {
+    const std::size_t group = std::min(kGroup, count - k);
+    for (std::size_t g = 0; g < group; ++g) {
+      qls[g] = at(k + g).lo.data();
+      qhs[g] = at(k + g).hi.data();
+    }
+    ker.meet_join_many(pl, ph, qls, qhs, group, n);
+    k += group;
+  }
+}
+
 }  // namespace
 
 Interval aggregate(std::span<const Interval> xs, ProcessId origin, SeqNum seq) {
@@ -68,53 +118,8 @@ Interval aggregate(std::span<const Interval> xs, ProcessId origin, SeqNum seq) {
     out.weight += x.weight;
     out.completed_at = std::max(out.completed_at, x.completed_at);
   }
-  // Eqs. (5)/(6) combined in place: one clock copy per bound above, then
-  // raw-pointer max/min accumulation. Going through component_max/min here
-  // would materialize a fresh clock per step — a heap allocation each for
-  // n > VectorClock::kInlineCapacity, ~5x the cost of the arithmetic.
-  // Small clocks keep the fused scalar loop (it unrolls in place); larger
-  // ones take the dispatched meet_join kernel, which vectorizes both
-  // bounds in one pass.
-  ClockValue* pl = out.lo.data();
-  ClockValue* ph = out.hi.data();
-  const std::size_t n = out.lo.size();
-  HPD_REQUIRE(out.hi.size() == n, "aggregate: lo/hi size mismatch");
-  if (n <= VectorClock::kInlineCapacity) {
-    for (std::size_t k = 1; k < xs.size(); ++k) {
-      HPD_REQUIRE(xs[k].lo.size() == n && xs[k].hi.size() == n,
-                  "aggregate: clock size mismatch");
-      const ClockValue* ql = xs[k].lo.data();
-      const ClockValue* qh = xs[k].hi.data();
-      for (std::size_t i = 0; i < n; ++i) {
-        pl[i] = std::max(pl[i], ql[i]);  // Eq. (5)
-        ph[i] = std::min(ph[i], qh[i]);  // Eq. (6)
-      }
-    }
-  } else {
-    const auto& ker = vc_simd::kernels();
-    for (std::size_t k = 1; k < xs.size(); ++k) {
-      HPD_REQUIRE(xs[k].lo.size() == n && xs[k].hi.size() == n,
-                  "aggregate: clock size mismatch");
-    }
-    // The whole fan-in goes through the many-input kernel so the lo/hi
-    // accumulators live in registers across every input, not in a
-    // read-modify-write pass per input. Pointer groups are bounded so the
-    // scratch stays on the stack for any batch size; max/min are
-    // elementwise, so grouping cannot change a bit of the result.
-    constexpr std::size_t kGroup = 32;
-    const ClockValue* qls[kGroup];
-    const ClockValue* qhs[kGroup];
-    std::size_t k = 1;
-    while (k < xs.size()) {
-      const std::size_t count = std::min(kGroup, xs.size() - k);
-      for (std::size_t g = 0; g < count; ++g) {
-        qls[g] = xs[k + g].lo.data();
-        qhs[g] = xs[k + g].hi.data();
-      }
-      ker.meet_join_many(pl, ph, qls, qhs, count, n);
-      k += count;
-    }
-  }
+  fold_bounds(out.lo, out.hi, xs.size() - 1,
+              [&](std::size_t k) -> const Interval& { return xs[k + 1]; });
   out.origin = origin;
   out.seq = seq;
   out.aggregated = true;
@@ -154,6 +159,12 @@ Interval aggregate(const Interval& a, const Interval& b, ProcessId origin,
     out.provenance = std::move(prov);
   }
   return out;
+}
+
+void meet_join_into(VectorClock& lo, VectorClock& hi,
+                    std::span<const Interval* const> xs) {
+  fold_bounds(lo, hi, xs.size(),
+              [&](std::size_t k) -> const Interval& { return *xs[k]; });
 }
 
 bool is_successor(const Interval& x, const Interval& y) {

@@ -103,6 +103,13 @@ Interval aggregate(std::span<const Interval> xs, ProcessId origin, SeqNum seq);
 Interval aggregate(const Interval& a, const Interval& b, ProcessId origin,
                    SeqNum seq);
 
+/// The bounds of ⊓ accumulated in place over intervals held elsewhere:
+/// lo ← lo ⊔ x.lo (Eq. (5)) and hi ← hi ⊓ x.hi (Eq. (6)) for every x in
+/// `xs`. Every clock must have lo's width. QueueEngine keeps its block
+/// summaries of queue heads with it.
+void meet_join_into(VectorClock& lo, VectorClock& hi,
+                    std::span<const Interval* const> xs);
+
 /// succ relation of Section III-D: y is a successor of x iff they share an
 /// origin and max(x) < min(y). (Theorem 2 proves aggregates generated at the
 /// same node are totally ordered this way.)

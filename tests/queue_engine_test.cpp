@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <span>
+#include <string>
+#include <vector>
 
+#include "core/hier_engine.hpp"
+#include "detect/centralized.hpp"
 #include "detect/queue_engine.hpp"
 #include "detect/reorder.hpp"
 
@@ -238,6 +243,129 @@ TEST(QueueEngineTest, RemoveQueueForgetsItsPrunedHead) {
   e.restore_pruned();
   EXPECT_EQ(e.queue_size(0), 1u);  // queue 0's head restored
   EXPECT_FALSE(e.has_queue(1));    // queue 1's pruned head gone with it
+}
+
+// ---- Block summaries ---------------------------------------------------------
+
+// Round r of a q-queue engine on q-wide clocks, as in BM_OfferThroughput:
+// every lo is below every hi, so the round's q heads form one solution.
+Interval wide_round(std::size_t q, std::size_t p, ClockValue round) {
+  VectorClock lo(q);
+  VectorClock hi(q);
+  for (std::size_t i = 0; i < q; ++i) {
+    lo[i] = 2 * round;
+    hi[i] = 2 * round + 1;
+  }
+  lo[p] -= 1;
+  hi[p] += 1;
+  return iv(static_cast<ProcessId>(p), round, std::move(lo), std::move(hi));
+}
+
+TEST(QueueEngineTest, OneBlockMakesExactlyThePairwisePasses) {
+  // q ≤ 16 keeps a single block: no summary is built or tested, so every
+  // clock pass is one of Algorithm 1's comparisons.
+  for (const std::size_t q : {2u, 4u, 16u}) {
+    QueueEngine e;
+    for (std::size_t p = 0; p < q; ++p) {
+      e.add_queue(static_cast<ProcessId>(p));
+    }
+    for (ClockValue r = 1; r <= 3; ++r) {
+      for (std::size_t p = 0; p < q; ++p) {
+        e.offer(static_cast<ProcessId>(p), wide_round(q, p, r));
+      }
+    }
+    EXPECT_EQ(e.solutions_found(), 3u);
+    EXPECT_EQ(e.clock_passes(), e.comparisons()) << "q " << q;
+  }
+}
+
+TEST(QueueEngineTest, BlockSummariesCutClockPassesNotComparisons) {
+  const std::size_t q = 341;
+  QueueEngine e;
+  for (std::size_t p = 0; p < q; ++p) {
+    e.add_queue(static_cast<ProcessId>(p));
+  }
+  for (std::size_t p = 0; p + 1 < q; ++p) {
+    EXPECT_TRUE(e.offer(static_cast<ProcessId>(p), wide_round(q, p, 1)).empty());
+  }
+  // The k-th head is compared both ways with the k heads before it.
+  EXPECT_EQ(e.comparisons(), (q - 1) * (q - 2));
+  EXPECT_LT(e.clock_passes() * 4, e.comparisons());
+  // The last head completes the round; no max is below another, so Eq. (10)
+  // tests all q − 1 others for each head and prunes every one.
+  const auto sols = e.offer(static_cast<ProcessId>(q - 1),
+                            wide_round(q, q - 1, 1));
+  ASSERT_EQ(sols.size(), 1u);
+  EXPECT_EQ(sols[0].members.size(), q);
+  EXPECT_EQ(e.pruned(), q);
+  EXPECT_EQ(e.comparisons(), 2 * q * (q - 1));
+}
+
+TEST(QueueEngineTest, WidthMismatchThrowsTheSameErrorAtAnyQ) {
+  // A head of the wrong width fails in vc_leq, whether it is compared with
+  // single heads (q = 4) or with block summaries (q = 64).
+  std::string pairwise;
+  for (const std::size_t q : {4u, 64u}) {
+    QueueEngine e;
+    for (std::size_t p = 0; p < q; ++p) {
+      e.add_queue(static_cast<ProcessId>(p));
+    }
+    for (std::size_t p = 0; p + 1 < q; ++p) {
+      e.offer(static_cast<ProcessId>(p), wide_round(q, p, 1));
+    }
+    try {
+      e.offer(static_cast<ProcessId>(q - 1), wide_round(q + 1, q - 1, 1));
+      ADD_FAILURE() << "no error at q " << q;
+    } catch (const AssertionError& err) {
+      EXPECT_NE(std::string(err.what()).find("vc_leq"), std::string::npos);
+      if (pairwise.empty()) {
+        pairwise = err.what();
+      }
+      EXPECT_EQ(err.what(), pairwise) << "q " << q;
+    }
+  }
+}
+
+TEST(QueueEngineTest, MixedWidthsInsideABlockAreScannedNotSummarized) {
+  // Only a restored image can hold heads of different widths; the block
+  // holding them has no summary and its members fail the pairwise test.
+  const std::size_t q = 64;
+  QueueEngine e;
+  for (std::size_t p = 0; p < q; ++p) {
+    e.add_queue(static_cast<ProcessId>(p));
+  }
+  for (std::size_t p = 0; p + 1 < q; ++p) {
+    e.offer(static_cast<ProcessId>(p), wide_round(q, p, 1));
+  }
+  QueueEngine::Snapshot snap = e.snapshot();
+  snap.queues[5].items[0] = wide_round(q + 1, 5, 1);
+  QueueEngine restored;
+  restored.restore(snap);
+  EXPECT_THROW(restored.recheck(), AssertionError);
+}
+
+TEST(QueueEngineSetupTest, HundredThousandQueuesSetUpInUnderASecond) {
+  // Set-up is linear: ascending keys append to the slot vector, and
+  // restore_pruned() returns at once while nothing was pruned, so a star
+  // root adopting its children one by one is not quadratic.
+  constexpr std::size_t kQueues = 100000;
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<ProcessId> procs(kQueues);
+  for (std::size_t p = 0; p < kQueues; ++p) {
+    procs[p] = static_cast<ProcessId>(p);
+  }
+  CentralSink sink(0, procs, CentralSink::Hooks{});
+  core::HierNodeEngine::Config config;
+  config.self = 0;
+  core::HierNodeEngine root(config, core::HierNodeEngine::Hooks{});
+  for (std::size_t p = 1; p < kQueues; ++p) {
+    root.add_child(static_cast<ProcessId>(p), 1);
+  }
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(sink.engine().num_queues(), kQueues);
+  EXPECT_EQ(root.engine().num_queues(), kQueues);
+  EXPECT_LT(took.count(), 1.0);
 }
 
 // ---- ReorderBuffer ----------------------------------------------------------

@@ -82,6 +82,11 @@ class QueueEngine {
   bool has_queue(ProcessId key) const { return queues_.count(key) != 0; }
   std::size_t num_queues() const { return queues_.size(); }
   std::size_t queue_size(ProcessId key) const;
+  /// Queue contents, front first (read-only observer for differential
+  /// tests; not part of the frozen algorithm).
+  const std::deque<Interval>& queue(ProcessId key) const {
+    return queues_.at(key);
+  }
 
   /// All queue keys, ascending.
   std::vector<ProcessId> keys() const;

@@ -982,6 +982,14 @@ class DaemonDetector {
     return img;
   }
 
+  /// The queue engine doing the detection work.
+  const detect::QueueEngine& engine() const {
+    if (central_ != nullptr) {
+      return central_->engine();
+    }
+    return slicing_ != nullptr ? slicing_->engine() : hier_->engine();
+  }
+
   void restore(const ckpt::DetectorImage& img) {
     HPD_REQUIRE(img.kind == kind_, "DaemonDetector: engine kind mismatch");
     switch (kind_) {
@@ -1288,6 +1296,8 @@ int run_daemon(const Options& opt) {
               << processes << ",\n  \"consumed_events\": " << consumed
               << ",\n  \"events_this_run\": " << this_run
               << ",\n  \"occurrences_emitted\": " << emitted
+              << ",\n  \"comparisons\": " << det.engine().comparisons()
+              << ",\n  \"clock_passes\": " << det.engine().clock_passes()
               << ",\n  \"interrupted\": " << (interrupted ? "true" : "false")
               << ",\n  \"clean_end\": " << (clean_end ? "true" : "false")
               << ",\n  \"checkpoint\": ";
