@@ -130,7 +130,15 @@ EventStreamReader::Status EventStreamReader::next(Interval& out) {
           throw CkptError("ckpt: unsupported event stream version " +
                           std::to_string(version));
         }
-        num_processes_ = d.get_varint();
+        const std::uint64_t processes = d.get_varint();
+        if (processes > kMaxStreamProcesses) {
+          // A literal message: string temporaries here would enlarge the
+          // stack frame of this per-event function.
+          throw CkptError(
+              "ckpt: event stream HEADER declares more processes than "
+              "kMaxStreamProcesses");
+        }
+        num_processes_ = static_cast<std::size_t>(processes);
         if (!d.exhausted()) {
           throw CkptError("ckpt: trailing bytes in event stream HEADER");
         }

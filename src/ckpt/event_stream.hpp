@@ -6,7 +6,7 @@
 //   magic    "HPDEVTS1" (8 bytes, raw)
 //   frames   wire/frame framing (varint length + payload + CRC-32C)
 //     HEADER  u8 0x00, varint stream format version (1), varint process
-//             count — always the first frame
+//             count (at most kMaxStreamProcesses) — always the first frame
 //     EVENT   u8 0x01 + interval (wire codec + completed_at)
 //     END     u8 0xFF, empty — the producer finished; a reader that hits
 //             EOF without END in non-follow mode reports truncation
@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "ckpt/checkpoint.hpp"
@@ -30,6 +31,14 @@ namespace hpd::ckpt {
 
 /// Current event-stream format version (HEADER frame).
 inline constexpr std::uint32_t kStreamVersion = 1;
+
+/// Largest process count a HEADER may declare. Every engine sets up one
+/// queue per process before the first event, so an unchecked count from a
+/// header-only file could ask for terabytes. The bound stays above the 10^5
+/// processes a star set-up must handle and inside ProcessId's range.
+inline constexpr std::uint64_t kMaxStreamProcesses = std::uint64_t{1} << 20;
+static_assert(kMaxStreamProcesses <=
+              static_cast<std::uint64_t>(std::numeric_limits<ProcessId>::max()));
 
 class EventStreamWriter {
  public:

@@ -237,11 +237,6 @@ LiveResult run_live_experiment(const runner::ExperimentConfig& config,
       m.vc_comparisons = engine->comparisons();
       m.intervals_enqueued = engine->offered();
       m.intervals_stored_peak = engine->stored_peak();
-    } else if (rt.possibly_sink() != nullptr) {
-      const auto& pe = rt.possibly_sink()->engine();
-      m.vc_comparisons = pe.comparisons();
-      m.intervals_enqueued = pe.offered();
-      m.intervals_stored_peak = pe.stored_peak();
     }
     result.final_parents[i] = rt.current_parent();
     if (cfg.record_execution) {

@@ -127,11 +127,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         // comparison against the other engines stays apples-to-apples.
         m.vc_comparisons += rt.slicing_sink()->slicer().slice_comparisons();
       }
-    } else if (rt.possibly_sink() != nullptr) {
-      const auto& pe = rt.possibly_sink()->engine();
-      m.vc_comparisons = pe.comparisons();
-      m.intervals_enqueued = pe.offered();
-      m.intervals_stored_peak = pe.stored_peak();
     }
     result.final_parents[i] = rt.current_parent();
     result.final_alive[i] = net.alive(id);

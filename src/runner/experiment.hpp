@@ -27,7 +27,6 @@ namespace hpd::runner {
 enum class DetectorKind {
   kHierarchical,  ///< the paper's Algorithm 1 (one engine per node)
   kCentralized,   ///< the baseline [12] (sink at the tree root, hop relays)
-  kPossiblyCentralized,  ///< weak-modality companion (Possibly(Φ) at the sink)
   kSlicing,  ///< computation-slicing sink (slice filter + queue engine)
 };
 

@@ -78,7 +78,7 @@ void ProcessRuntime::setup_detector() {
       hooks.now = [this] { return shared_.net->now(); };
       sink_.emplace(self_, all, std::move(hooks), cfg.prune_mode,
                     cfg.queue_capacity);
-    } else if (cfg.detector == DetectorKind::kSlicing) {
+    } else {
       detect::SlicingDetector::Hooks hooks;
       hooks.on_occurrence = [this](const detect::OccurrenceRecord& rec) {
         record_occurrence(rec);
@@ -86,13 +86,6 @@ void ProcessRuntime::setup_detector() {
       hooks.now = [this] { return shared_.net->now(); };
       slicing_sink_.emplace(self_, all, std::move(hooks), cfg.prune_mode,
                             cfg.queue_capacity, cfg.slicing_mode);
-    } else {
-      detect::PossiblySink::Hooks hooks;
-      hooks.on_occurrence = [this](const detect::OccurrenceRecord& rec) {
-        record_occurrence(rec);
-      };
-      hooks.now = [this] { return shared_.net->now(); };
-      possibly_sink_.emplace(self_, all, std::move(hooks));
     }
   }
 }
@@ -188,7 +181,7 @@ void ProcessRuntime::on_revive() {
     shared_.net->set_timer(self_, kTagHeartbeat, phase, /*periodic=*/true,
                            shared_.config->hb_config.period);
   }
-  // In centralized / possibly mode the tree is static: keep the old parent
+  // In centralized / slicing mode the tree is static: keep the old parent
   // so relayed reporting resumes immediately.
   if (behavior_) {
     // Behaviours re-arm their timers; already-executed steps are guarded by
@@ -291,8 +284,6 @@ void ProcessRuntime::dispatch(const transport::Message& msg) {
         sink_->report(p.interval);
       } else if (slicing_sink_) {
         slicing_sink_->report(p.interval);
-      } else if (possibly_sink_) {
-        possibly_sink_->report(p.interval);
       } else if (parent_ != kNoProcess) {
         // Relay one hop toward the sink (a fresh message: the paper counts
         // every hop of the centralized algorithm's reports).
@@ -417,8 +408,6 @@ void ProcessRuntime::on_local_interval(const Interval& x) {
     sink_->local_interval(x);
   } else if (slicing_sink_) {
     slicing_sink_->local_interval(x);
-  } else if (possibly_sink_) {
-    possibly_sink_->local_interval(x);
   } else if (parent_ != kNoProcess) {
     proto::ReportPayload p{x};
     send(parent_, proto::kReportCentral, p);

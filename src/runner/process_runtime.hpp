@@ -16,7 +16,6 @@
 #include "common/rng.hpp"
 #include "core/hier_engine.hpp"
 #include "detect/centralized.hpp"
-#include "detect/possibly.hpp"
 #include "detect/slicing.hpp"
 #include "ft/heartbeat.hpp"
 #include "ft/reattach.hpp"
@@ -127,9 +126,6 @@ class ProcessRuntime final : public transport::Node {
   const detect::CentralSink* sink() const {
     return sink_ ? &*sink_ : nullptr;
   }
-  const detect::PossiblySink* possibly_sink() const {
-    return possibly_sink_ ? &*possibly_sink_ : nullptr;
-  }
   const detect::SlicingDetector* slicing_sink() const {
     return slicing_sink_ ? &*slicing_sink_ : nullptr;
   }
@@ -219,7 +215,6 @@ class ProcessRuntime final : public transport::Node {
 
   std::optional<core::HierNodeEngine> hier_;
   std::optional<detect::CentralSink> sink_;
-  std::optional<detect::PossiblySink> possibly_sink_;
   std::optional<detect::SlicingDetector> slicing_sink_;
 
   std::optional<ft::HeartbeatAgent> hb_;

@@ -501,6 +501,28 @@ TEST(CkptEventStream, RejectsWrongMagicAndCorruption) {
   }
 }
 
+TEST(CkptEventStream, HeaderProcessCountIsBounded) {
+  TempDir dir;
+  for (const std::uint64_t n : {kMaxStreamProcesses, kMaxStreamProcesses + 1,
+                                std::uint64_t{1} << 40}) {
+    SCOPED_TRACE(n);
+    const fs::path p = dir.path() / ("n" + std::to_string(n) + ".evt");
+    {
+      EventStreamWriter w(p.string(), n);
+      w.finish();
+    }
+    EventStreamReader r(p.string());
+    Interval ev;
+    if (n <= kMaxStreamProcesses) {
+      EXPECT_EQ(r.next(ev), EventStreamReader::Status::kEnd);
+      EXPECT_EQ(r.num_processes(), n);
+    } else {
+      EXPECT_THROW(r.next(ev), CkptError);
+      EXPECT_FALSE(r.have_header());
+    }
+  }
+}
+
 // ---- Committed corpus -------------------------------------------------------
 //
 // The corpus pins the on-disk format across releases: these bytes were

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "detect/possibly.hpp"
 #include "detect/queue_engine.hpp"
 #include "detect/slicing.hpp"
 
@@ -329,128 +328,6 @@ TEST_P(EngineFuzzTest, EngineInvariantsUnderAdversarialStreams) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzzTest,
                          ::testing::Values(5u, 6u, 7u, 8u, 1000u, 2000u));
-
-// ---- Naive Possibly reference ------------------------------------------------
-
-struct NaivePossibly {
-  std::map<ProcessId, std::list<Interval>> queues;
-  std::vector<std::vector<std::pair<ProcessId, SeqNum>>> solutions;
-  std::uint64_t eliminated = 0;
-
-  void add_queue(ProcessId key) { queues[key]; }
-
-  static bool coexist(const Interval& a, const Interval& b) {
-    return b.lo[idx(a.origin)] <= a.hi[idx(a.origin)] &&
-           a.lo[idx(b.origin)] <= b.hi[idx(b.origin)];
-  }
-
-  void offer(ProcessId key, const Interval& x) {
-    auto& q = queues.at(key);
-    const bool was_empty = q.empty();
-    q.push_back(x);
-    if (!was_empty) {
-      return;
-    }
-    run({key});
-  }
-
-  void recheck() {
-    std::vector<ProcessId> updated;
-    for (const auto& [k, q] : queues) {
-      if (!q.empty()) {
-        updated.push_back(k);
-      }
-    }
-    if (!updated.empty()) {
-      run(std::move(updated));
-    }
-  }
-
-  void run(std::vector<ProcessId> updated) {
-    while (!updated.empty()) {
-      std::vector<ProcessId> dead;
-      for (const ProcessId a : updated) {
-        if (queues.at(a).empty()) {
-          continue;
-        }
-        const Interval& xa = queues.at(a).front();
-        for (auto& [b, qb] : queues) {
-          if (b == a || qb.empty()) {
-            continue;
-          }
-          const Interval& yb = qb.front();
-          if (coexist(xa, yb)) {
-            continue;
-          }
-          const bool xa_first =
-              yb.lo[idx(xa.origin)] > xa.hi[idx(xa.origin)];
-          dead.push_back(xa_first ? a : b);
-        }
-      }
-      std::sort(dead.begin(), dead.end());
-      dead.erase(std::unique(dead.begin(), dead.end()), dead.end());
-      if (!dead.empty()) {
-        std::vector<ProcessId> next;
-        for (const ProcessId c : dead) {
-          if (!queues.at(c).empty()) {
-            queues.at(c).pop_front();
-            ++eliminated;
-            next.push_back(c);
-          }
-        }
-        updated = std::move(next);
-        continue;
-      }
-      bool complete = true;
-      for (const auto& [k, q2] : queues) {
-        complete = complete && !q2.empty();
-      }
-      if (!complete) {
-        break;
-      }
-      std::vector<std::pair<ProcessId, SeqNum>> sol;
-      std::vector<ProcessId> next;
-      for (auto& [k, q2] : queues) {
-        sol.emplace_back(k, q2.front().seq);
-        q2.pop_front();  // consume-all
-        next.push_back(k);
-      }
-      solutions.push_back(std::move(sol));
-      updated = std::move(next);
-    }
-  }
-};
-
-TEST_P(EngineFuzzTest, PossiblyEngineMatchesNaiveReference) {
-  Rng rng(GetParam() ^ 0x5050);
-  for (int round = 0; round < 40; ++round) {
-    const std::size_t n = 2 + rng.uniform_index(4);
-    PossiblyEngine engine;
-    NaivePossibly naive;
-    for (std::size_t i = 0; i < n; ++i) {
-      engine.add_queue(static_cast<ProcessId>(i));
-      naive.add_queue(static_cast<ProcessId>(i));
-    }
-    StreamGen gen(GetParam() * 31 + static_cast<std::uint64_t>(round), n);
-    std::vector<SeqNum> next_seq(n, 1);
-    std::vector<std::vector<std::pair<ProcessId, SeqNum>>> engine_solutions;
-    for (int s = 0; s < 60; ++s) {
-      const auto p = static_cast<ProcessId>(rng.uniform_index(n));
-      const Interval x = gen.next(p, next_seq[idx(p)]++);
-      naive.offer(p, x);
-      for (const auto& sol : engine.offer(p, x)) {
-        std::vector<std::pair<ProcessId, SeqNum>> ids;
-        for (const auto& m : sol.members) {
-          ids.emplace_back(m.origin, m.seq);
-        }
-        engine_solutions.push_back(std::move(ids));
-      }
-    }
-    ASSERT_EQ(engine_solutions, naive.solutions)
-        << "round " << round << " n " << n;
-    EXPECT_EQ(engine.eliminated(), naive.eliminated) << "round " << round;
-  }
-}
 
 // ---- Dynamic queue changes (the failure path) ---------------------------------
 

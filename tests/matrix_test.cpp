@@ -22,10 +22,7 @@ struct MatrixCase {
 std::string case_name(const MatrixCase& c) {
   std::ostringstream os;
   os << c.topology << "/"
-     << (c.detector == DetectorKind::kHierarchical
-             ? "hier"
-             : (c.detector == DetectorKind::kCentralized ? "central"
-                                                         : "possibly"))
+     << (c.detector == DetectorKind::kHierarchical ? "hier" : "central")
      << (c.wire ? "/wire" : "") << (c.failures ? "/fail" : "");
   return os.str();
 }
@@ -106,19 +103,16 @@ std::vector<MatrixCase> all_cases() {
   for (const char* topo :
        {"grid", "geometric", "smallworld", "scalefree", "complete"}) {
     for (const DetectorKind det :
-         {DetectorKind::kHierarchical, DetectorKind::kCentralized,
-          DetectorKind::kPossiblyCentralized}) {
+         {DetectorKind::kHierarchical, DetectorKind::kCentralized}) {
       for (const bool wire : {false, true}) {
         out.push_back(MatrixCase{topo, det, wire, false});
       }
     }
-    // Failure plans: hierarchical (with repair), centralized and possibly
-    // (both stall without repair, but must not crash or corrupt).
+    // Failure plans: hierarchical (with repair) and centralized (stalls
+    // without repair, but must not crash or corrupt).
     out.push_back(MatrixCase{topo, DetectorKind::kHierarchical, false, true});
     out.push_back(MatrixCase{topo, DetectorKind::kHierarchical, true, true});
     out.push_back(MatrixCase{topo, DetectorKind::kCentralized, false, true});
-    out.push_back(
-        MatrixCase{topo, DetectorKind::kPossiblyCentralized, false, true});
   }
   return out;
 }

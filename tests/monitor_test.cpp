@@ -36,17 +36,25 @@ TEST(MonitorTest, ScriptedScenarioFiresCallbacks) {
 }
 
 TEST(MonitorTest, NoCrossingNoGlobalDetection) {
-  MonitorConfig cfg;
-  cfg.topology = net::Topology::complete(2);
-  cfg.horizon = 50.0;
-  Monitor mon(cfg);
-  // Concurrent pulses without messages: Possibly but not Definitely.
-  mon.set_predicate(0, 1.0, true);
-  mon.set_predicate(0, 5.0, false);
-  mon.set_predicate(1, 1.0, true);
-  mon.set_predicate(1, 5.0, false);
-  const auto res = mon.run();
-  EXPECT_EQ(res.global_count, 0u);
+  // Concurrent pulses without messages: Possibly but not Definitely, so
+  // neither the tree nor the flat sink may report them.
+  for (const runner::DetectorKind kind :
+       {runner::DetectorKind::kHierarchical,
+        runner::DetectorKind::kCentralized}) {
+    SCOPED_TRACE(kind == runner::DetectorKind::kHierarchical ? "hier"
+                                                             : "central");
+    MonitorConfig cfg;
+    cfg.topology = net::Topology::complete(2);
+    cfg.horizon = 50.0;
+    cfg.detector = kind;
+    Monitor mon(cfg);
+    mon.set_predicate(0, 1.0, true);
+    mon.set_predicate(0, 5.0, false);
+    mon.set_predicate(1, 1.0, true);
+    mon.set_predicate(1, 5.0, false);
+    const auto res = mon.run();
+    EXPECT_EQ(res.global_count, 0u);
+  }
 }
 
 TEST(MonitorTest, BehaviorFactoryWorkload) {

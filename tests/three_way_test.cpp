@@ -25,11 +25,9 @@
 #include <vector>
 
 #include "detect/offline/hier_replay.hpp"
-#include "detect/offline/par_replay.hpp"
 #include "detect/offline/replay.hpp"
 #include "detect/offline/slicing_replay.hpp"
 #include "interval/interval.hpp"
-#include "parallel/thread_pool.hpp"
 #include "mc/checker.hpp"
 #include "mc/repro.hpp"
 #include "mc/shrink.hpp"
@@ -94,34 +92,29 @@ struct OfflineTriple {
   std::vector<BaseSet> slicing;
 };
 
-/// Shared pool for the triple replays: every offline_triple() call fans
-/// its hier/centralized/slicing legs across these workers (replay_triple
-/// is bit-identical to the serial calls — see par_replay.hpp — so the
-/// harness's oracle strength is unchanged, only its wall-clock).
-parallel::ThreadPool& triple_pool() {
-  static parallel::ThreadPool pool(3);
-  return pool;
-}
-
 OfflineTriple offline_triple(const trace::ExecutionRecord& exec,
                              const McCase& c) {
   OfflineTriple out;
   const auto cfg = build_case(c);
-  detect::offline::TripleOptions topt;
-  topt.prune_mode = c.ground_truth_prune();
-  const auto triple =
-      detect::offline::replay_triple(exec, cfg.tree, topt, triple_pool());
+  const auto prune = c.ground_truth_prune();
+  detect::offline::ReplayOptions copt;
+  copt.prune_mode = prune;
+  detect::offline::SlicingReplayOptions sopt;
+  sopt.prune_mode = prune;
+  const auto hier = detect::offline::hier_replay(exec, cfg.tree, prune);
+  const auto central = detect::offline::replay_centralized(exec, copt);
+  const auto slicing = detect::offline::replay_slicing(exec, sopt);
 
-  if (auto it = triple.hier.solutions.find(cfg.tree.root());
-      it != triple.hier.solutions.end()) {
+  if (auto it = hier.solutions.find(cfg.tree.root());
+      it != hier.solutions.end()) {
     for (const auto& sol : it->second) {
       out.hier_root.push_back(bases_of(sol.members));
     }
   }
-  for (const auto& sol : triple.central) {
+  for (const auto& sol : central) {
     out.central.push_back(bases_of(sol.members));
   }
-  for (const auto& sol : triple.slicing.solutions) {
+  for (const auto& sol : slicing.solutions) {
     out.slicing.push_back(bases_of(sol.members));
   }
   return out;

@@ -73,7 +73,7 @@ const std::map<std::string, std::set<std::string>>& allowed_deps() {
       {"proto", {"common", "vc", "interval"}},
       {"wire", {"common", "vc", "interval", "proto"}},
       {"trace", {"common", "vc", "interval", "net"}},
-      {"detect", {"common", "vc", "interval", "net", "parallel", "trace"}},
+      {"detect", {"common", "vc", "interval", "net", "trace"}},
       {"core", {"common", "vc", "interval", "net", "trace", "detect"}},
       {"ft", {"common", "vc", "interval", "proto"}},
       {"analysis", {"common", "vc", "interval", "metrics", "net", "trace"}},

@@ -65,8 +65,7 @@ namespace {
                       geometric:N:RADIUS | smallworld:N:K:BETA | scalefree:N:M
                       (default dary:2:4; for dary the network is the tree
                        plus 2*H random cross links when --fault-tolerant)
-  --detector KIND     hier | central | possibly | slicing  (default hier;
-                      possibly = weak-modality Possibly(Phi) at the sink;
+  --detector KIND     hier | central | slicing  (default hier;
                       slicing = computation-slicing sink)
   --engine KIND       alias for --detector (the mc harness's name for it)
   --workload SPEC     pulse:rounds=R,period=P,participation=Q,jitter=J
@@ -349,12 +348,10 @@ Options parse(int argc, char** argv) {
         opt.detector = runner::DetectorKind::kHierarchical;
       } else if (v == "central") {
         opt.detector = runner::DetectorKind::kCentralized;
-      } else if (v == "possibly") {
-        opt.detector = runner::DetectorKind::kPossiblyCentralized;
       } else if (v == "slicing") {
         opt.detector = runner::DetectorKind::kSlicing;
       } else {
-        std::cerr << "detector must be hier|central|possibly|slicing\n";
+        std::cerr << "detector must be hier|central|slicing\n";
         std::exit(2);
       }
     } else if (arg == "--fail") {
@@ -473,8 +470,6 @@ const char* detector_name(runner::DetectorKind k) {
       return "hier";
     case runner::DetectorKind::kCentralized:
       return "central";
-    case runner::DetectorKind::kPossiblyCentralized:
-      return "possibly";
     case runner::DetectorKind::kSlicing:
       return "slicing";
   }
@@ -889,7 +884,7 @@ int report(const Options& opt, const runner::ExperimentConfig& cfg,
 // logical stream position (events consumed so far), not the wall clock, so
 // a restored run re-emits exactly the records an uninterrupted run emits.
 
-std::optional<ckpt::EngineKind> daemon_engine_kind(runner::DetectorKind k) {
+ckpt::EngineKind daemon_engine_kind(runner::DetectorKind k) {
   switch (k) {
     case runner::DetectorKind::kHierarchical:
       return ckpt::EngineKind::kHier;
@@ -897,10 +892,8 @@ std::optional<ckpt::EngineKind> daemon_engine_kind(runner::DetectorKind k) {
       return ckpt::EngineKind::kCentral;
     case runner::DetectorKind::kSlicing:
       return ckpt::EngineKind::kSlicing;
-    case runner::DetectorKind::kPossiblyCentralized:
-      return std::nullopt;  // weak modality has no checkpoint surface
   }
-  return std::nullopt;
+  return ckpt::EngineKind::kHier;  // unreachable: the switch is exhaustive
 }
 
 /// One detector engine behind a uniform ingest/snapshot surface. The
@@ -1070,12 +1063,7 @@ int run_daemon(const Options& opt) {
     std::cerr << "--daemon conflicts with --live and --repeat\n";
     return 2;
   }
-  const std::optional<ckpt::EngineKind> kind =
-      daemon_engine_kind(opt.detector);
-  if (!kind.has_value()) {
-    std::cerr << "--daemon supports detectors hier, central, slicing\n";
-    return 2;
-  }
+  const ckpt::EngineKind kind = daemon_engine_kind(opt.detector);
   if ((opt.restore || opt.ckpt_every != 0) && opt.ckpt_dir.empty()) {
     std::cerr << "--restore / --ckpt-every require --ckpt-dir\n";
     return 2;
@@ -1141,7 +1129,7 @@ int run_daemon(const Options& opt) {
   bool have_restore = false;
   if (opt.restore) {
     if (std::optional<ckpt::CheckpointData> data = store->load_latest()) {
-      if (data->meta.engine_kind != static_cast<std::uint8_t>(*kind)) {
+      if (data->meta.engine_kind != static_cast<std::uint8_t>(kind)) {
         std::cerr << "checkpoint was written by a different engine ("
                   << static_cast<int>(data->meta.engine_kind)
                   << "); refusing to restore into --detector "
@@ -1197,7 +1185,7 @@ int run_daemon(const Options& opt) {
     }
   };
 
-  DaemonDetector det(*kind, processes, on_occurrence, now);
+  DaemonDetector det(kind, processes, on_occurrence, now);
   if (have_restore) {
     det.restore(restored_image);
   }
@@ -1207,7 +1195,7 @@ int run_daemon(const Options& opt) {
       return;
     }
     ckpt::CheckpointData data;
-    data.meta.engine_kind = static_cast<std::uint8_t>(*kind);
+    data.meta.engine_kind = static_cast<std::uint8_t>(kind);
     data.meta.consumed_events = consumed;
     data.meta.occurrences_emitted = emitted;
     data.detector = ckpt::encode_detector(det.image(consumed));
